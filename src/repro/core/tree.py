@@ -151,8 +151,7 @@ class MultiBitTree:
         #: re-running the search).
         self.last_outcome: Optional[SearchOutcome] = None
         for level in self._levels:
-            for address in range(level.size):
-                level.poke(address, 0)
+            level.fill(0)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -356,12 +355,12 @@ class MultiBitTree:
         When the scheduler drains completely the circuit re-enters
         initialization mode (Section III-A); stale markers left by
         deferred deletion are flushed with a parallel reset line, modeled
-        as one root write plus direct zeroing of the deeper levels.
+        as one root write plus an unaccounted in-place fill of the deeper
+        levels.
         """
         self._levels[0].write(0, 0)
         for level in self._levels[1:]:
-            for address in range(level.size):
-                level.poke(address, 0)
+            level.fill(0)
         self._count = 0
 
     def clear_root_section(self, root_literal: int) -> int:
@@ -390,9 +389,7 @@ class MultiBitTree:
         for level in range(1, self.fmt.levels):
             span = b ** (level - 1)
             start = root_literal * span
-            memory = self._levels[level]
-            for address in range(start, start + span):
-                memory.poke(address, 0)
+            self._levels[level].fill(0, start, start + span)
         self._count -= removed
         return removed
 

@@ -115,6 +115,12 @@ class ScheduleFabric:
         self.tournament = TournamentAggregator(shards, space=fmt.capacity)
         #: live tag count per flow id (drives rebalance planning)
         self._flow_live: Dict[int, int] = {}
+        #: live tag count per shard, kept incrementally by every path
+        #: that moves entries in or out of a store (push, push_batch,
+        #: pop_min, pop_batch, remove, migration, the worker backend)
+        #: and rebuilt by load_state, so routing and rebalance planning
+        #: never recount the stores.
+        self._occupancy: List[int] = [0] * shards
         self.pushes = 0
         self.pops = 0
         self.cancels = 0
@@ -131,11 +137,14 @@ class ScheduleFabric:
     # introspection
 
     def occupancies(self) -> List[int]:
-        """Live tag count per shard (index-aligned with ``stores``)."""
-        return [len(store) for store in self.stores]
+        """Live tag count per shard (index-aligned with ``stores``).
+
+        A fresh list each call: callers (``push_batch``) may mutate it.
+        """
+        return list(self._occupancy)
 
     def __len__(self) -> int:
-        return sum(len(store) for store in self.stores)
+        return sum(self._occupancy)
 
     @property
     def operations(self) -> int:
@@ -230,9 +239,8 @@ class ScheduleFabric:
         migration's own per-shard remove/insert events, so trace ledgers
         reconcile op-for-op.
         """
-        occupancies = self.occupancies()
         plan = self.manager.plan_rebalance(
-            occupancies, self._flow_live, self.pushes + self.pops
+            self._occupancy, self._flow_live, self.pushes + self.pops
         )
         if plan is None:
             return {}
@@ -240,7 +248,7 @@ class ScheduleFabric:
             self._tracer.event(
                 "rebalance",
                 component=FABRIC_COMPONENT,
-                occupancies=occupancies,
+                occupancies=self.occupancies(),
                 **plan.to_dict(),
             )
         if not self.manager.policy.migrate_backlog:
@@ -268,7 +276,8 @@ class ScheduleFabric:
         moved_flows = {flow_id for flow_id, _ in plan.moves}
         source_store = self.stores[plan.source]
         target_store = self.stores[plan.target]
-        quota = max(0, (len(source_store) - len(target_store)) // 2)
+        occupancy = self._occupancy
+        quota = max(0, (occupancy[plan.source] - occupancy[plan.target]) // 2)
         base_source = plan.source * self.capacity_per_shard
         base_target = plan.target * self.capacity_per_shard
         # Snapshot the candidates before mutating: walk() is peek-only
@@ -281,7 +290,7 @@ class ScheduleFabric:
             )
             if flow_id in moved_flows:
                 candidates.append((address, finish_tag))
-        free = self.capacity_per_shard - len(target_store)
+        free = self.capacity_per_shard - occupancy[plan.target]
         relocations: Dict[int, int] = {}
         migrated = 0
         skipped = 0
@@ -293,6 +302,7 @@ class ScheduleFabric:
                 skipped += 1
                 continue
             exact_tag, entry = source_store.remove(address)
+            occupancy[plan.source] -= 1
             try:
                 new_local = target_store.push(exact_tag, entry)
             except ProtocolError:
@@ -301,12 +311,14 @@ class ScheduleFabric:
                 # source — its slot is guaranteed free, though the new
                 # address may differ from the old one.
                 back_local = source_store.push(exact_tag, entry)
+                occupancy[plan.source] += 1
                 if back_local != address:
                     relocations[base_source + address] = (
                         base_source + back_local
                     )
                 skipped += 1
                 continue
+            occupancy[plan.target] += 1
             free -= 1
             migrated += 1
             relocations[base_source + address] = base_target + new_local
@@ -338,8 +350,9 @@ class ScheduleFabric:
         """
         if payload is None:
             payload = flow_id
-        shard, spilled = self.manager.route(flow_id, self.occupancies())
+        shard, spilled = self.manager.route(flow_id, self._occupancy)
         local = self.stores[shard].push(finish_tag, (flow_id, payload))
+        self._occupancy[shard] += 1
         self._track_push(flow_id)
         self.pushes += 1
         self._sync_head(shard)
@@ -414,6 +427,7 @@ class ScheduleFabric:
                 if not group:
                     continue
                 self.stores[shard].push_batch(group)
+                self._occupancy[shard] += len(group)
                 self._sync_head(shard)
                 if traced:
                     self._tracer.event(
@@ -446,6 +460,7 @@ class ScheduleFabric:
             raise ProtocolError("pop_min from an empty fabric")
         comparisons_before = self.tournament.comparisons
         finish_tag, (flow_id, payload) = self.stores[winner].pop_min()
+        self._occupancy[winner] -= 1
         self._track_pop(flow_id)
         self.pops += 1
         self._sync_head(winner)
@@ -506,6 +521,7 @@ class ScheduleFabric:
                             break
                     elif not self.tournament.precedes(head, fence_tag):
                         break
+            self._occupancy[winner] -= chunk
             self.pops += chunk
             self._sync_head(winner)
             if self._tracer.enabled:
@@ -541,6 +557,7 @@ class ScheduleFabric:
         """
         shard, local = self.handle_location(handle)
         finish_tag, (flow_id, payload) = self.stores[shard].remove(local)
+        self._occupancy[shard] -= 1
         self._track_pop(flow_id)
         self.cancels += 1
         self._sync_head(shard)
@@ -563,7 +580,14 @@ class ScheduleFabric:
         shards keep serving throughout — repin never drains anything.
         """
         shard, local = self.handle_location(handle)
-        new_local = self.stores[shard].retag(local, new_finish_tag)
+        store = self.stores[shard]
+        try:
+            new_local = store.retag(local, new_finish_tag)
+        except BaseException:
+            # A retag is occupancy-neutral, but one that fails after its
+            # removal step leaves the entry gone: recount that shard.
+            self._occupancy[shard] = len(store)
+            raise
         self.repins += 1
         self._sync_head(shard)
         if self._tracer.enabled:
@@ -646,6 +670,7 @@ class ScheduleFabric:
             dropped,
         ) in zip(jobs, results):
             self.stores[shard].load_state(new_state)
+            self._occupancy[shard] = len(self.stores[shard])
             self._sync_head(shard)
             if traced:
                 # Merge the shard's shipped event stream before the
@@ -734,6 +759,7 @@ class ScheduleFabric:
             )
         for store, store_state in zip(self.stores, state["stores"]):
             store.load_state(store_state)
+        self._occupancy = [len(store) for store in self.stores]
         self.partitioner.load_state(state["partitioner"])
         self.manager.load_state(state["manager"])
         self.pushes = state["pushes"]

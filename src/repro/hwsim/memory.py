@@ -59,9 +59,28 @@ class _MemoryBase:
         self._check_address(address)
         self._cells[address] = value
 
+    def fill(
+        self, value: Any, start: int = 0, stop: Optional[int] = None
+    ) -> None:
+        """Set words ``[start, stop)`` to ``value`` (no accounting).
+
+        Models a parallel reset line: every word in the range is driven
+        at once, so no port is claimed and no access is counted.  The
+        cell list is written in place and keeps its identity, so callers
+        that cached it (the tree's turbo walks) stay valid.
+        """
+        if stop is None:
+            stop = self.size
+        if not 0 <= start <= stop <= self.size:
+            raise AddressError(
+                f"{self.name}: fill range [{start}, {stop}) outside "
+                f"[0, {self.size})"
+            )
+        self._cells[start:stop] = [value] * (stop - start)
+
     def clear(self) -> None:
-        """Zero the contents (accounting is preserved)."""
-        self._cells = [None] * self.size
+        """Empty the contents in place (accounting is preserved)."""
+        self.fill(None)
 
 
 class RegisterFile(_MemoryBase):

@@ -13,7 +13,8 @@ snapshot) against an uninterrupted reference.
 
 Snapshots are written atomically (temp file + ``os.replace`` in the
 same directory), so a crash mid-write leaves the previous snapshot
-intact — recovery never sees a torn file.
+intact — recovery never sees a torn file — and the directory is fsynced
+after the rename, so a completed snapshot survives a crash too.
 """
 
 from __future__ import annotations
@@ -111,15 +112,60 @@ def restore_state(engine, state: Dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # disk format
 
+_SEPARATORS = (",", ":")
+
+#: Key paths of the containers written member by member: the snapshot
+#: itself, the scheduler system, its fabric, and the fabric's shard list.
+#: Everything below them is one C-speed ``json.dumps`` call, so no single
+#: call has to hold the encoding of the whole state at once.
+_SPLIT_PATHS = frozenset(
+    [(), ("system",), ("system", "store"), ("system", "store", "stores")]
+)
+
+
+def _write_json(write, value: Any, path: tuple = ()) -> None:
+    """Write ``value`` byte-identically to one ``json.dumps`` call.
+
+    ``json.dump`` would take the pure-Python encoder; one ``json.dumps``
+    of the whole state would hold its full encoding (several times the
+    file size) at once.  Splitting at :data:`_SPLIT_PATHS` keeps the C
+    encoder and bounds the peak to the largest single component.
+    """
+    split = path in _SPLIT_PATHS
+    if split and isinstance(value, dict):
+        write("{")
+        for index, (key, item) in enumerate(value.items()):
+            if index:
+                write(",")
+            write(json.dumps(key))
+            write(":")
+            _write_json(write, item, path + (key,))
+        write("}")
+    elif split and isinstance(value, list):
+        write("[")
+        for index, item in enumerate(value):
+            if index:
+                write(",")
+            _write_json(write, item, path + (index,))
+        write("]")
+    else:
+        write(json.dumps(value, separators=_SEPARATORS))
+
+
 def write_snapshot(path: str, state: Dict[str, Any]) -> None:
-    """Atomically persist one snapshot (temp file + rename)."""
+    """Atomically and durably persist one snapshot.
+
+    The state goes to a temp file that is fsynced and renamed over
+    ``path``; the directory is then fsynced so the rename itself
+    survives a crash.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     descriptor, temp_path = tempfile.mkstemp(
         prefix=".serve-snapshot-", dir=directory
     )
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, separators=(",", ":"))
+            _write_json(handle.write, state)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp_path, path)
@@ -129,6 +175,12 @@ def write_snapshot(path: str, state: Dict[str, Any]) -> None:
         except OSError:
             pass
         raise
+    if hasattr(os, "O_DIRECTORY"):  # POSIX: directories can be fsynced
+        directory_fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            os.fsync(directory_fd)
+        finally:
+            os.close(directory_fd)
 
 
 def read_snapshot(path: str) -> Dict[str, Any]:

@@ -283,3 +283,42 @@ def test_property_all_shapes(fmt_shape, data):
         tree.insert_marker(value)
     assert tree.closest_at_most(key) == reference_closest(set(values), key)
     tree.check_invariants()
+
+
+class TestBulkReset:
+    """Resets are in-place fills, so the turbo walks see them."""
+
+    def test_turbo_search_sees_a_level_cleared_in_place(self):
+        tree = MultiBitTree(PAPER_FORMAT)
+        for value in (5, 300, 2000):
+            tree.insert_marker_fast(value)
+        assert tree.closest_fast(PAPER_FORMAT.max_value) == 2000
+        for level in tree._levels:
+            level.clear()
+        tree._count = 0
+        assert tree.closest_fast(PAPER_FORMAT.max_value) is None
+        assert tree.search_fast(PAPER_FORMAT.max_value).result is None
+        for (cells, _stats), level in zip(tree._turbo_walk, tree._levels):
+            assert cells is level._cells
+
+    def test_clear_all_charges_one_root_write(self):
+        tree = MultiBitTree(PAPER_FORMAT)
+        for value in range(0, PAPER_FORMAT.max_value, 97):
+            tree.insert_marker(value)
+        before = [tree.level_stats(i).to_dict() for i in range(3)]
+        tree.clear_all()
+        after = [tree.level_stats(i).to_dict() for i in range(3)]
+        assert after[0]["writes"] == before[0]["writes"] + 1
+        assert after[0]["reads"] == before[0]["reads"]
+        assert after[1:] == before[1:]
+        assert tree.marked_values() == []
+        tree.check_invariants()
+
+    def test_section_clear_zeroes_only_its_subtree(self):
+        tree = MultiBitTree(PAPER_FORMAT)
+        values = [0x123, 0x1FF, 0x200, 0x2AB, 0x7FF]
+        for value in values:
+            tree.insert_marker(value)
+        assert tree.clear_root_section(1) == 2
+        assert tree.marked_values() == [0x200, 0x2AB, 0x7FF]
+        tree.check_invariants()

@@ -241,3 +241,64 @@ def test_fast_marker_insert_matches_gate_insert():
     for name in ("search", "search_fast"):
         for key in rng.sample(range(PAPER_FORMAT.capacity), 64):
             assert getattr(fast, name)(key).result == gate.search(key).result
+
+
+def _spy_flushes(tree):
+    """Record each ``clear_all``'s per-level (reads, writes) deltas."""
+    deltas = []
+    clear_all = tree.clear_all
+    depth = tree.fmt.levels
+
+    def spy():
+        before = [tree.level_stats(i).to_dict() for i in range(depth)]
+        clear_all()
+        after = [tree.level_stats(i).to_dict() for i in range(depth)]
+        deltas.append(
+            [
+                (a["reads"] - b["reads"], a["writes"] - b["writes"])
+                for b, a in zip(before, after)
+            ]
+        )
+
+    tree.clear_all = spy
+    return deltas
+
+
+def test_flush_parity_over_many_busy_periods():
+    """Drain-to-empty busy periods: every re-entry into initialization
+    mode flushes the stale markers with exactly one root write, and the
+    two engines serve and charge identically throughout."""
+    rng = random.Random(2006)
+    top = PAPER_FORMAT.max_value
+    periods = []
+    for _ in range(150):
+        base = rng.randrange(0, top - 600)
+        count = rng.randint(1, 20)
+        tags = sorted(base + rng.randrange(0, 600) for _ in range(count))
+        ops = []
+        live = 0
+        for tag in tags:
+            ops.append(("insert", tag))
+            live += 1
+            if live > 1 and rng.random() < 0.3:
+                ops.append(("dequeue",))
+                live -= 1
+        ops.extend([("dequeue",)] * live)
+        periods.append(ops)
+    gate, turbo = _fresh(), _fresh(turbo=True)
+    flushes = {
+        "gate": _spy_flushes(gate.tree),
+        "turbo": _spy_flushes(turbo.tree),
+    }
+    for ops in periods:
+        assert _drive(turbo, ops) == _drive(gate, ops)
+        assert gate.is_empty and turbo.is_empty
+        assert _registry_snapshot(turbo) == _registry_snapshot(gate)
+    # Every busy period after the first opens on a tree of stale markers.
+    assert len(flushes["gate"]) == len(flushes["turbo"]) == len(periods) - 1
+    root_write_only = [(0, 1)] + [(0, 0)] * (PAPER_FORMAT.levels - 1)
+    for deltas in flushes.values():
+        assert all(delta == root_write_only for delta in deltas)
+    assert turbo.cycles == gate.cycles
+    for level, memory in enumerate(turbo.tree._levels):
+        assert turbo.tree._turbo_walk[level][0] is memory._cells

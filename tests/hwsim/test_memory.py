@@ -119,3 +119,37 @@ class TestTreeLevelFactory:
         level2 = make_tree_level_memory(2, 16, 256)
         assert level0.total_bits + level1.total_bits == 272
         assert level2.total_bits == 4096
+
+
+class TestFill:
+    """The unaccounted in-place range fill (the parallel reset line)."""
+
+    @pytest.mark.parametrize("cls", [RegisterFile, SinglePortSRAM, DualPortSRAM])
+    def test_fill_is_unaccounted_and_in_place(self, cls):
+        memory = cls(8)
+        cells = memory._cells
+        memory.fill(7)
+        memory.fill(0, 2, 5)
+        assert [memory.peek(a) for a in range(8)] == [7, 7, 0, 0, 0, 7, 7, 7]
+        assert memory._cells is cells
+        assert memory.stats.reads == 0 and memory.stats.writes == 0
+
+    def test_fill_does_not_claim_the_port(self):
+        memory = SinglePortSRAM(4)
+        memory.fill(1)
+        memory.write(0, 2)  # the port is still free this cycle
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 5)])
+    def test_fill_bounds(self, start, stop):
+        memory = RegisterFile(4)
+        with pytest.raises(AddressError):
+            memory.fill(0, start, stop)
+
+    def test_clear_keeps_cell_identity(self):
+        memory = RegisterFile(4)
+        cells = memory._cells
+        memory.write(1, 5)
+        memory.clear()
+        assert memory._cells is cells
+        assert memory.peek(1) is None
+        assert memory.stats.writes == 1

@@ -141,6 +141,56 @@ class TestDiskFormat:
         ]
         engine.close()
 
+    def test_file_is_byte_identical_to_one_shot_dumps(self, tmp_path):
+        engine = loaded_engine(flows=16, enqueues=400, drains=60)
+        # A non-ASCII tenant name must come out escaped, as json.dumps does.
+        assert engine.handle_request(
+            {"op": "open", "tenant": "é", "flow": 99, "rate_bps": 2e6}
+        )["ok"]
+        path = str(tmp_path / "snap.json")
+        state = lifecycle.capture_state(engine)
+        lifecycle.write_snapshot(path, state)
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(state, separators=(",", ":"))
+        # Restore parity holds through the file.
+        fresh = ServeEngine(small_config())
+        lifecycle.restore_state(fresh, lifecycle.read_snapshot(path))
+        tail = [
+            {"op": "enqueue", "flow": i % 8, "size": 300} for i in range(20)
+        ]
+        tail.append({"op": "drain", "count": 10_000})
+        for request in tail:
+            assert engine.handle_request(request) == fresh.handle_request(
+                request
+            )
+        engine.close()
+        fresh.close()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "O_DIRECTORY"), reason="directory fsync is POSIX-only"
+    )
+    def test_rename_is_made_durable(self, tmp_path, monkeypatch):
+        """The parent directory is fsynced after the rename."""
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            is_directory = os.path.samestat(
+                os.fstat(fd), os.stat(str(tmp_path))
+            )
+            renamed = os.path.exists(str(tmp_path / "snap.json"))
+            synced.append((is_directory, renamed))
+            real_fsync(fd)
+
+        monkeypatch.setattr(lifecycle.os, "fsync", recording_fsync)
+        engine = loaded_engine()
+        lifecycle.write_snapshot(
+            str(tmp_path / "snap.json"), lifecycle.capture_state(engine)
+        )
+        # File data first (before the rename), then the directory (after).
+        assert synced == [(False, False), (True, True)]
+        engine.close()
+
     def test_read_rejects_non_snapshot(self, tmp_path):
         path = str(tmp_path / "other.json")
         with open(path, "w", encoding="utf-8") as handle:
