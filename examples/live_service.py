@@ -68,7 +68,7 @@ def main():
     server, done = serve_in_thread(engine)
     print("== the always-on scheduling server ==")
     print(f"serving on 127.0.0.1:{server.port}, "
-          f"metrics on :{server._plane.port}")
+          f"metrics on :{server.metrics_port}")
 
     client = ServeClient("127.0.0.1", server.port, retries=20).connect()
     hello = client.hello()
@@ -117,7 +117,7 @@ def main():
 
     # -- stop 4: the live plane --------------------------------------
     print("== live observability, mid-soak ==")
-    base = f"http://127.0.0.1:{server._plane.port}"
+    base = f"http://127.0.0.1:{server.metrics_port}"
     health = json.loads(urllib.request.urlopen(base + "/health").read())
     print(f"  /health -> {health['status']}, monitors "
           f"{health['monitors']['violations']} violations over "

@@ -741,7 +741,9 @@ def _bench_turbo(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
         best = None
         for _ in range(BENCH_REPEATS):
             store = HardwareTagStore(
-                granularity=granularity, fast_mode=batched, turbo=turbo
+                granularity=granularity,
+                fast_mode=batched,
+                mode="turbo" if turbo else "gate",
             )
             seconds, served = _timed(lambda: drive(store, ops))
             if best is None or seconds < best[0]:
@@ -844,7 +846,7 @@ def _bench_timer(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
         for _ in range(BENCH_REPEATS):
             seconds, run = _timed(
                 lambda: run_timer_soak(
-                    pattern="churn", events=count, seed=seed, turbo=turbo
+                    pattern="churn", events=count, seed=seed, mode=key
                 )
             )
             if best is None or seconds < best[0]:

@@ -14,31 +14,36 @@ Regenerates any of the paper's evaluation artifacts without pytest:
 ``python -m repro obs`` runs a traced telemetry soak (see
 :mod:`repro.obs.runner`), ``python -m repro fabric`` runs a traced soak
 through the sharded scheduling fabric (see :mod:`repro.fabric.runner`:
-``--shards``, ``--workers``, ``--monitor``, ``--checkpoint``), and
-``python -m repro analyze`` runs trace forensics over archived JSONL
-traces (see :mod:`repro.obs.analyze`: ``profile``, ``check``, ``diff``,
-``timeline``), and ``python -m repro timer`` runs a timer-wheel workload
-over the circuit's remove/retag primitives (see :mod:`repro.net.timer`:
-``--pattern {churn,retransmit,expiry}``, ``--shards``, ``--monitor``).
-All six subsystems share one output convention: ``--output FILE`` writes
-where you say, ``--format {text,json}`` picks the representation.
+``--shards``, ``--workers``, ``--checkpoint``), ``python -m repro
+timer`` runs a timer-wheel workload over the circuit's remove/retag
+primitives (see :mod:`repro.net.timer`: ``--pattern
+{churn,retransmit,expiry}``, ``--shards``), and ``python -m repro
+analyze`` runs trace forensics over archived JSONL traces (see
+:mod:`repro.obs.analyze`: ``profile``, ``check``, ``diff``,
+``timeline``).  The soak runners and ``analyze`` share one output
+convention: ``--output FILE`` writes where you say, ``--format
+{text,json}`` picks the representation.
 
 ``python -m repro serve`` runs the always-on WFQ scheduling server —
 line-delimited JSON over TCP in front of the sorting fabric, with SLA
-admission, ECN-style backpressure, snapshot/restore lifecycle, and the
-live observability plane attached via ``--metrics PORT`` (see
-:mod:`repro.serve.server`).  ``python -m repro client`` drives a running
-server with a deterministic mixed workload (see
+admission, ECN-style backpressure and snapshot/restore lifecycle (see
+:mod:`repro.serve.server`).  ``python -m repro client`` drives a
+running server with a deterministic mixed workload (see
 :mod:`repro.serve.client`).
 
-The soak runners (``obs``, ``fabric``, ``timer``) additionally accept
-``--serve PORT`` to expose the live observability plane (``/metrics``
-Prometheus text, ``/health`` JSON status, ``/snapshot`` full instrument
-dump) over HTTP while the soak runs, ``--watchdog SECONDS`` to arm the
-progress-based stall watchdog, and — for ``obs`` and ``fabric`` —
-``--flight FILE`` to auto-dump an analyze-loadable flight-recorder
-window around the first invariant violation (see :mod:`repro.obs.live`,
-:mod:`repro.obs.flight`).
+``obs``, ``fabric``, ``timer`` and ``serve`` take their observability
+flags from one table and their wiring from one run harness (see
+:mod:`repro.obs.harness`): ``--mode`` picks the engine, ``--trace``
+streams the framed JSONL trace, ``--monitor`` screens every event
+through the online invariant monitors, ``--serve PORT`` (``serve``:
+``--metrics PORT``) exposes the live plane — ``/metrics`` Prometheus
+text, ``/health`` JSON status, ``/snapshot`` instrument dump — while
+the run goes, ``--watchdog SECONDS`` arms the stall watchdog, and
+``--flight FILE`` (``obs``, ``fabric``, ``serve``) auto-dumps an
+analyze-loadable window around the first invariant violation.  Each
+exits 1 when its own checks fail or a monitor fired; ``obs`` and
+``fabric`` also when the ring buffer evicted events without
+``--allow-lossy``.
 """
 
 from __future__ import annotations

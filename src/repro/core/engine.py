@@ -83,22 +83,13 @@ def require_numpy(feature: str):
     return np
 
 
-def resolve_mode(mode: Optional[str] = None, turbo: bool = False) -> str:
-    """Normalize the (mode, legacy turbo flag) pair to one mode string.
-
-    ``turbo=True`` predates the mode knob; it keeps working as a
-    synonym for ``mode="turbo"`` but conflicts with an explicit
-    contradictory mode.
-    """
+def resolve_mode(mode: Optional[str] = None) -> str:
+    """Validate an engine mode string; ``None`` means ``"gate"``."""
     if mode is None:
-        return "turbo" if turbo else "gate"
+        return "gate"
     if mode not in VALID_MODES:
         raise ConfigurationError(
             f"unknown engine mode {mode!r} (expected one of {VALID_MODES})"
-        )
-    if turbo and mode != "turbo":
-        raise ConfigurationError(
-            f"mode={mode!r} conflicts with turbo=True"
         )
     return mode
 
@@ -197,7 +188,6 @@ def make_circuit(
     fmt: WordFormat = PAPER_FORMAT,
     *,
     mode: Optional[str] = None,
-    turbo: bool = False,
     capacity: int = 4096,
     eager_marker_removal: bool = False,
     modular: bool = False,
@@ -205,8 +195,8 @@ def make_circuit(
     tracer=None,
     matcher_factory=None,
 ) -> DataPlaneEngine:
-    """Construct the engine selected by ``mode`` (or legacy ``turbo``)."""
-    mode = resolve_mode(mode, turbo)
+    """Construct the engine selected by ``mode``."""
+    mode = resolve_mode(mode)
     if mode == "vector":
         from .vector import VectorSortRetrieveCircuit  # noqa: PLC0415
 
@@ -237,7 +227,6 @@ def circuit_from_state(
     state: dict,
     *,
     mode: Optional[str] = None,
-    turbo: bool = False,
     tracer=None,
 ) -> DataPlaneEngine:
     """Reconstruct a circuit snapshot under the engine ``mode`` names.
@@ -248,10 +237,10 @@ def circuit_from_state(
     When ``mode`` is omitted the snapshot's own legacy ``turbo`` flag
     decides between gate and turbo.
     """
-    if mode is None and not turbo:
+    if mode is None:
         config = state.get("config", {})
         mode = "turbo" if config.get("turbo", False) else "gate"
-    mode = resolve_mode(mode, turbo)
+    mode = resolve_mode(mode)
     if mode == "vector":
         from .vector import VectorSortRetrieveCircuit  # noqa: PLC0415
 

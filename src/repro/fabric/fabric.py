@@ -69,7 +69,6 @@ class ScheduleFabric:
         granularity: float = 1.0,
         capacity_per_shard: int = 4096,
         fast_mode: bool = False,
-        turbo: bool = False,
         mode: Optional[str] = None,
         partition_policy: str = "hash",
         flow_space: int = 1024,
@@ -83,7 +82,7 @@ class ScheduleFabric:
         self.granularity = granularity
         self.capacity_per_shard = capacity_per_shard
         self.fast_mode = fast_mode
-        self.mode = resolve_mode(mode, turbo)
+        self.mode = resolve_mode(mode)
         self.turbo = self.mode == "turbo"
         self.stores: List[HardwareTagStore] = [
             HardwareTagStore(

@@ -53,7 +53,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         buffer_capacity: int = 8192,
         clock_hz: float = DEFAULT_CLOCK_HZ,
         fast_mode: bool = False,
-        turbo: bool = False,
         mode: Optional[str] = None,
         partition_policy: str = "hash",
         flow_space: int = 1024,
@@ -70,7 +69,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
             buffer_capacity=buffer_capacity,
             clock_hz=clock_hz,
             fast_mode=fast_mode,
-            turbo=turbo,
             mode=mode,
             tracer=tracer,
         )

@@ -44,7 +44,6 @@ class HardwareTagStore:
         granularity: float = 1.0,
         capacity: int = 4096,
         fast_mode: bool = False,
-        turbo: bool = False,
         mode: Optional[str] = None,
         tracer=None,
     ) -> None:
@@ -52,7 +51,7 @@ class HardwareTagStore:
             raise ConfigurationError("granularity must be positive")
         self.fmt = fmt
         self.granularity = granularity
-        self.mode = resolve_mode(mode, turbo)
+        self.mode = resolve_mode(mode)
         self.circuit = make_circuit(
             fmt,
             mode=self.mode,

@@ -52,7 +52,6 @@ class HardwareWFQSystem(PacketScheduler):
         buffer_capacity: int = 8192,
         clock_hz: float = DEFAULT_CLOCK_HZ,
         fast_mode: bool = False,
-        turbo: bool = False,
         mode: Optional[str] = None,
         tracer=None,
     ) -> None:
@@ -66,7 +65,7 @@ class HardwareWFQSystem(PacketScheduler):
         self._buffer_capacity = buffer_capacity
         self._explicit_granularity = granularity
         self._fast_mode = fast_mode
-        self._mode = resolve_mode(mode, turbo)
+        self._mode = resolve_mode(mode)
         self._tracer = tracer
         self._store: Optional[HardwareTagStore] = None
         self.dropped = 0

@@ -33,15 +33,16 @@ Three scenario families, deterministic per seed:
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.engine import resolve_mode
 from ..hwsim.errors import ProtocolError
+from ..obs.harness import (
+    HarnessRun, RunHarness, add_flags, finish, soak_kwargs,
+)
 from .hardware_store import HardwareTagStore
 
 PATTERNS = ("churn", "retransmit", "expiry")
@@ -199,9 +200,10 @@ class TimerWheel:
 
 
 @dataclass
-class TimerRun:
+class TimerRun(HarnessRun):
     """Telemetry of one timer-workload soak."""
 
+    harness: RunHarness
     pattern: str
     events: int
     seed: int
@@ -216,10 +218,7 @@ class TimerRun:
     cycles: int
     operations: int
     fired_deadlines: List[float] = field(default_factory=list, repr=False)
-    monitors: Optional[object] = None
     backend: Optional[object] = None
-    live: Optional[Dict] = None
-    auditor: Optional[object] = None
 
     @property
     def served_in_order(self) -> bool:
@@ -267,19 +266,10 @@ class TimerRun:
                 "conserved": self.conserved,
             },
         }
-        if self.monitors is not None:
-            document["monitors"] = {
-                "checked": self.monitors.checked,
-                "ok": self.monitors.ok,
-                "violations": [
-                    violation.to_dict()
-                    for violation in self.monitors.violations
-                ],
-            }
-        if self.live is not None:
-            document["live"] = self.live
-        if self.auditor is not None:
-            document["serve_audit"] = self.auditor.summary()
+        blocks = self.harness.blocks()
+        for key in ("monitors", "live", "serve_audit"):
+            if blocks[key] is not None:
+                document[key] = blocks[key]
         return document
 
     def report(self) -> str:
@@ -300,22 +290,7 @@ class TimerRun:
             f"  fired in deadline order: {self.served_in_order}",
             f"  timer conservation: {self.conserved}",
         ]
-        if self.monitors is not None:
-            lines.append(f"  {self.monitors.summary()}")
-        if self.live is not None:
-            port = self.live.get("port")
-            served_at = f" on port {port}" if port else ""
-            lines.append(
-                f"  live plane{served_at}: {self.live['windows']} windows "
-                f"({self.live['skipped_ticks']} skipped), "
-                f"{self.live['uptime_seconds']}s up"
-            )
-        if self.auditor is not None:
-            summary = self.auditor.summary()
-            lines.append(
-                f"  serve audit: {summary['serves']} serves, "
-                f"{summary['inversions']} rank inversions"
-            )
+        lines += [f"  {note}" for note in self.harness.notes()]
         return "\n".join(lines) + "\n"
 
 
@@ -439,7 +414,6 @@ def run_timer_soak(
     events: int = 10_000,
     seed: int = 20060101,
     granularity: float = 1.0,
-    turbo: bool = False,
     mode: Optional[str] = None,
     shards: int = 1,
     capacity: int = 4096,
@@ -460,25 +434,17 @@ def run_timer_soak(
     ``shards > 1`` runs the wheel over a
     :class:`~repro.fabric.fabric.ScheduleFabric` (cancel and repin stay
     shard-local — the shard-drain-free property the fabric tests pin).
-    ``monitor=True`` screens the event stream through the online
-    invariant monitors, including the dynamic-update pair
-    (``handle_liveness``, ``free_list_removal``).  ``serve_port``
-    attaches the live observability plane (``/metrics`` ``/health``
-    ``/snapshot`` plus the tag-domain serve auditor) for the duration
-    of the soak; it implies a tracer even without ``monitor`` or
-    ``trace_sink``.
+    The observability keywords are the
+    :class:`~repro.obs.harness.RunHarness` ones; a tracer exists only
+    when one of them consumes it.  ``monitor=True`` screens the event
+    stream through the online invariant monitors, including the
+    dynamic-update pair (``handle_liveness``, ``free_list_removal``);
+    ``serve_port`` attaches the live plane and the tag-domain serve
+    auditor for the duration of the soak.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"unknown timer pattern {pattern!r}")
-    mode = resolve_mode(mode, turbo)
-    from ..obs.events import build_trace_header
-    from ..obs.monitors import MonitorSuite
-    from ..obs.tracer import Tracer
-
-    tracer = None
-    suite = None
-    if monitor or trace_sink is not None or serve_port is not None:
-        tracer = Tracer(buffer_size=buffer_size, sink=trace_sink)
+    mode = resolve_mode(mode)
     if shards > 1:
         from ..fabric.fabric import ScheduleFabric
 
@@ -487,104 +453,47 @@ def run_timer_soak(
             granularity=granularity,
             capacity_per_shard=capacity,
             mode=mode,
-            tracer=tracer,
         )
-        describe = backend.stores[0].describe
-        circuit_for_config = backend.stores[0].circuit
+        config = backend.stores[0].describe()
     else:
         backend = HardwareTagStore(
-            granularity=granularity,
-            capacity=capacity,
-            mode=mode,
-            tracer=tracer,
+            granularity=granularity, capacity=capacity, mode=mode
         )
-        describe = backend.describe
-        circuit_for_config = backend.circuit
-    if tracer is not None:
-        tracer.write_header(
-            build_trace_header(
-                seed=seed,
-                mode="per_op",
-                config=describe(),
-                ops=events,
-                purpose=f"timer_{pattern}",
-                engine=mode,
-            )
-        )
-        if monitor:
-            suite = MonitorSuite.for_circuit(circuit_for_config, tracer=tracer)
-            tracer.add_observer(suite)
-
-    plane = None
-    auditor = None
-    if serve_port is not None:
-        from ..obs.live import LivePlane
-        from ..obs.monitors import MonitorConfig
-        from ..obs.probes import StandardProbes
-        from ..obs.slo import ServeStreamAuditor
-
-        probes = StandardProbes()
-        tracer.add_observer(probes)
-        monitor_config = MonitorConfig.from_circuit_config(describe())
-        auditor = ServeStreamAuditor(
-            instruments=probes.instruments,
-            modular=monitor_config.modular,
-            tag_space=monitor_config.tag_space,
-        )
-        tracer.add_observer(
-            auditor, kinds=ServeStreamAuditor.OBSERVED_KINDS
-        )
-        if shards > 1:
-            stores = backend.stores
-        else:
-            stores = [backend]
-
-        def timer_progress() -> float:
-            return float(
-                sum(
-                    store.circuit.registry.total().total
-                    for store in stores
-                )
-            )
-
-        plane = LivePlane(
-            instruments=probes.instruments,
-            progress=timer_progress,
-            occupancy=lambda: sum(len(store) for store in stores),
-            shard_occupancies=(
-                (lambda: [float(len(store)) for store in stores])
-                if shards > 1
-                else None
-            ),
-            free_list_depth=lambda: sum(
-                store.circuit.free_list_depth for store in stores
-            ),
-            monitors=suite,
-            tracer=tracer,
-            auditor=auditor,
-            serve_port=serve_port,
-            serve_host=serve_host,
-            interval=live_interval,
-            watchdog_timeout=watchdog_timeout,
-            extra_status=lambda: {
-                "timer": {
-                    "pattern": pattern,
-                    "armed": wheel.armed,
-                    "fired": wheel.fired,
-                    "cancelled": wheel.cancelled,
-                    "pending": wheel.pending,
-                }
-            },
-        )
-
+        config = backend.describe()
     wheel = TimerWheel(backend)
+    harness = RunHarness(
+        backend,
+        header=dict(
+            seed=seed,
+            mode="per_op",
+            config=config,
+            ops=events,
+            purpose=f"timer_{pattern}",
+            engine=mode,
+        ),
+        traced=monitor or trace_sink is not None or serve_port is not None,
+        trace_sink=trace_sink,
+        buffer_size=buffer_size,
+        monitor=monitor,
+        serve_port=serve_port,
+        serve_host=serve_host,
+        serve_linger=serve_linger,
+        live_interval=live_interval,
+        watchdog_timeout=watchdog_timeout,
+        extra_status=lambda: {
+            "timer": {
+                "pattern": pattern,
+                "armed": wheel.armed,
+                "fired": wheel.fired,
+                "cancelled": wheel.cancelled,
+                "pending": wheel.pending,
+            }
+        },
+    )
     rng = random.Random(seed)
-    live_summary = None
-    if plane is not None:
-        plane.start()
-    try:
+    with harness:
         if pattern == "churn":
-            due = _drive_churn(
+            _drive_churn(
                 wheel,
                 events,
                 rng,
@@ -593,18 +502,11 @@ def run_timer_soak(
                 ramp=ramp,
             )
         elif pattern == "retransmit":
-            due = _drive_retransmit(wheel, events, rng, connections=256)
+            _drive_retransmit(wheel, events, rng, connections=256)
         else:
-            due = _drive_expiry(wheel, events, rng, flows=512)
-    finally:
-        if plane is not None:
-            if serve_linger > 0:
-                time.sleep(serve_linger)
-            live_summary = plane.finish()
-        if tracer is not None:
-            tracer.flush()
-            tracer.close()
+            _drive_expiry(wheel, events, rng, flows=512)
     return TimerRun(
+        harness=harness,
         pattern=pattern,
         events=events,
         seed=seed,
@@ -619,14 +521,11 @@ def run_timer_soak(
         cycles=backend.cycles,
         operations=backend.operations,
         fired_deadlines=wheel.fired_effective,
-        monitors=suite,
         backend=backend,
-        live=live_summary,
-        auditor=auditor,
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro timer",
         description=(
@@ -649,12 +548,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--granularity", type=float, default=1.0, help="tag quantum"
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("gate", "turbo", "vector"),
-        default="gate",
-        help="circuit engine (identical behaviour, different wall clock)",
     )
     parser.add_argument(
         "--capacity",
@@ -686,120 +579,41 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0.6,
         help="churn pattern: fraction of timers cancelled before firing",
     )
-    parser.add_argument(
-        "--trace", metavar="FILE", help="stream the JSONL event trace here"
+    add_flags(
+        parser, "--mode", "--trace", "--buffer-size", "--monitor",
+        "--serve", "--serve-host", "--serve-linger", "--live-interval",
+        "--watchdog", "--output", "--format",
+        format={"choices": ("text", "json"), "help": "run-report format"},
     )
-    parser.add_argument(
-        "--buffer-size",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer capacity",
-    )
-    parser.add_argument(
-        "--monitor",
-        action="store_true",
-        help=(
-            "screen the event stream through the online invariant "
-            "monitors; exit 1 on any violation"
-        ),
-    )
-    parser.add_argument(
-        "--serve",
-        type=int,
-        metavar="PORT",
-        help=(
-            "serve /metrics /health /snapshot on this port while the "
-            "soak runs (0 = ephemeral port); implies a tracer"
-        ),
-    )
-    parser.add_argument(
-        "--serve-host",
-        default="127.0.0.1",
-        help="bind address for --serve (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--serve-linger",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="keep the endpoints up this long after the soak finishes",
-    )
-    parser.add_argument(
-        "--live-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="windowed-collector rollup interval",
-    )
-    parser.add_argument(
-        "--watchdog",
-        type=float,
-        metavar="SECONDS",
-        help="declare a stall after this long without circuit progress",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the run report here (default: stdout)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="run-report format",
-    )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     run = run_timer_soak(
         pattern=args.pattern,
         events=args.events,
         seed=args.seed,
         granularity=args.granularity,
-        mode=args.mode,
         shards=args.shards,
         capacity=args.capacity,
         cancel_ratio=args.cancel_ratio,
         pending_target=args.pending_target,
         ramp=args.ramp,
-        trace_sink=args.trace,
-        buffer_size=args.buffer_size,
-        monitor=args.monitor,
-        serve_port=args.serve,
-        serve_host=args.serve_host,
-        serve_linger=args.serve_linger,
-        live_interval=args.live_interval,
-        watchdog_timeout=args.watchdog,
+        **soak_kwargs(args),
     )
-
-    if args.format == "json":
-        report = json.dumps(run.to_document(), indent=2) + "\n"
-    else:
-        report = run.report()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-    else:
-        sys.stdout.write(report)
-
-    status = 0
-    if not run.served_in_order:
-        print("FAIL: timers fired out of deadline order", file=sys.stderr)
-        status = 1
-    if not run.conserved:
-        print(
-            "FAIL: timer conservation broken (armed != fired + cancelled "
-            "+ pending)",
-            file=sys.stderr,
-        )
-        status = 1
-    if run.monitors is not None and not run.monitors.ok:
-        print(
-            f"FAIL: {len(run.monitors.violations)} invariant violation(s) "
-            f"— see the run report",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+    return finish(
+        args,
+        run,
+        [
+            (run.served_in_order, "timers fired out of deadline order"),
+            (
+                run.conserved,
+                "timer conservation broken (armed != fired + cancelled "
+                "+ pending)",
+            ),
+        ],
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

@@ -2,11 +2,11 @@
 
 Runs the bench harness's bursty WFQ-shaped mixed workload (the same
 generator the perf suite times) through a
-:class:`~repro.net.hardware_store.HardwareTagStore` with a live
-:class:`~repro.obs.tracer.Tracer` attached, streams the events through
-:class:`~repro.obs.probes.StandardProbes`, and verifies the telemetry
-acceptance invariant: the summed per-structure deltas of the event
-stream reconcile *exactly* with ``StatsRegistry.total()``.
+:class:`~repro.net.hardware_store.HardwareTagStore` inside the shared
+:class:`~repro.obs.harness.RunHarness` (tracer, probes, monitors, live
+plane), and verifies the telemetry acceptance invariant: the summed
+per-structure deltas of the event stream reconcile *exactly* with
+``StatsRegistry.total()``.
 
 Kept out of :mod:`repro.obs`'s eager imports (it pulls in the net/bench
 layers) — the CLI imports it lazily.
@@ -15,24 +15,16 @@ layers) — the CLI imports it lazily.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..bench.perf import _drive_batched, _drive_per_op, make_mixed_ops
-from ..core.engine import VALID_MODES, resolve_mode
+from ..core.engine import resolve_mode
 from ..core.sort_retrieve import FaultInjection
 from ..net.hardware_store import HardwareTagStore
-from .events import build_trace_header
-from .exporters import prometheus_snapshot, run_report
-from .flight import FlightRecorder
-from .instruments import InstrumentSet
+from .harness import HarnessRun, RunHarness, add_flags, finish, soak_kwargs
 from .live import LivePlane
-from .monitors import MonitorConfig, MonitorSuite
-from .probes import StandardProbes
-from .slo import ServeStreamAuditor
-from .tracer import Tracer
 
 #: Seeded-fault presets for ``--inject-fault`` — one per monitor family,
 #: mirroring the fault matrix the monitor tests prove catches each one.
@@ -46,165 +38,47 @@ FAULT_PRESETS: Dict[str, FaultInjection] = {
 
 
 @dataclass
-class TracedRun:
+class TracedRun(HarnessRun):
     """Everything a traced soak produced."""
 
-    tracer: Tracer
+    harness: RunHarness
     store: HardwareTagStore
-    instruments: InstrumentSet
     ops: int
     seed: int
     batched: bool
     served: int
-    turbo: bool = False
     engine: str = "gate"
-    monitors: Optional[MonitorSuite] = None
-    live: Optional[Dict] = None
-    live_instruments: Optional[InstrumentSet] = None
-    flight: Optional[FlightRecorder] = None
-    auditor: Optional[ServeStreamAuditor] = None
     fault: Optional[str] = None
 
     @property
-    def event_counts(self) -> Dict[str, int]:
-        """Events emitted per kind (from the probe counters, so exact
-        even after ring-buffer eviction)."""
-        counts: Dict[str, int] = {}
-        prefix = "events_"
-        for name in self.instruments.names():
-            if name.startswith(prefix):
-                counts[name[len(prefix):]] = self.instruments.counter(name).value
-        return counts
-
-    @property
-    def reconciliation(self) -> Dict[str, int]:
-        """Traced-vs-registry access totals (equal on a correct trace)."""
-        return {
-            "traced": self.tracer.attributed_grand_total().total,
-            "registry": self.store.circuit.registry.total().total,
-        }
-
-    @property
-    def reconciled(self) -> bool:
-        """True when every registry access is attributed to an event."""
-        traced = self.tracer.attributed_totals()
-        registry = self.store.circuit.registry
-        for name in registry.names():
-            stats = registry[name]
-            mine = traced.get(name)
-            got = (mine.reads, mine.writes) if mine else (0, 0)
-            if got != (stats.reads, stats.writes):
-                return False
-        return True
+    def turbo(self) -> bool:
+        """Whether the soak ran on the turbo engine."""
+        return self.engine == "turbo"
 
     def report(self) -> str:
         """The human-readable run report."""
         mode = "batched fast-mode" if self.batched else "per-op"
         if self.engine != "gate":
             mode += f", {self.engine} engine"
-        notes = [
-            f"tracer: {self.tracer.emitted} events emitted, "
-            f"{self.tracer.dropped} evicted from the ring buffer",
-        ]
-        if self.monitors is not None:
-            notes.append(self.monitors.summary())
-        if self.live is not None:
-            port = self.live.get("port")
-            served_at = f" on port {port}" if port else ""
-            notes.append(
-                f"live plane{served_at}: {self.live['windows']} windows "
-                f"({self.live['skipped_ticks']} skipped), "
-                f"{self.live['uptime_seconds']}s up"
-            )
-        if self.auditor is not None:
-            audit = self.auditor.summary()
-            notes.append(
-                f"serve audit: {audit['serves']} serves, "
-                f"{audit['inversions']} rank inversions"
-            )
-        if self.flight is not None:
-            summary = self.flight.summary()
-            if summary["dumped"]:
-                trigger = summary["trigger"] or {}
-                notes.append(
-                    f"flight recorder: dumped {summary['path']} around "
-                    f"{trigger.get('monitor') or trigger.get('kind')}"
-                )
-            else:
-                notes.append(
-                    f"flight recorder: armed, no trigger "
-                    f"({summary['observed']} events observed)"
-                )
-        return run_report(
-            title=(
-                f"traced mixed soak: {self.ops} ops ({mode}), "
-                f"seed {self.seed}"
-            ),
-            totals={
-                name: self.store.circuit.registry[name]
-                for name in self.store.circuit.registry.names()
-            },
-            instruments=self.instruments,
-            event_counts=self.event_counts,
-            reconciliation=self.reconciliation,
-            dropped=self.tracer.dropped,
-            notes=notes,
+        return self._soak_report(
+            f"traced mixed soak: {self.ops} ops ({mode}), seed {self.seed}"
         )
 
     def to_document(self) -> Dict:
         """The JSON-format report (one output convention with the
         artifact CLI's ``--format json``)."""
-        return {
-            "workload": {
+        document = self._soak_document(
+            workload={
                 "ops": self.ops,
                 "seed": self.seed,
                 "mode": "batched" if self.batched else "per_op",
                 "engine": self.engine,
                 "granularity": self.store.granularity,
                 "served": self.served,
-            },
-            "totals": {
-                name: self.store.circuit.registry[name].to_dict()
-                for name in self.store.circuit.registry.names()
-            },
-            "event_counts": self.event_counts,
-            "instruments": self.instruments.summaries(),
-            "reconciliation": {
-                **self.reconciliation,
-                "exact": self.reconciled,
-            },
-            "tracer": {
-                "emitted": self.tracer.emitted,
-                "dropped": self.tracer.dropped,
-            },
-            "monitors": (
-                None
-                if self.monitors is None
-                else {
-                    "checked": self.monitors.checked,
-                    "ok": self.monitors.ok,
-                    "violations": [
-                        violation.to_dict()
-                        for violation in self.monitors.violations
-                    ],
-                }
-            ),
-            "live": self.live,
-            "serve_audit": (
-                None if self.auditor is None else self.auditor.summary()
-            ),
-            "flight": (
-                None if self.flight is None else self.flight.summary()
-            ),
-            "fault": self.fault,
-        }
-
-    def metrics_text(self) -> str:
-        """Prometheus exposition: run instruments plus live rollups."""
-        text = prometheus_snapshot(self.instruments)
-        if self.live_instruments is not None:
-            text += prometheus_snapshot(self.live_instruments)
-        return text
+            }
+        )
+        document["fault"] = self.fault
+        return document
 
 
 def run_traced_soak(
@@ -213,7 +87,6 @@ def run_traced_soak(
     seed: int = 20060101,
     granularity: float = 8.0,
     batched: bool = False,
-    turbo: bool = False,
     mode: Optional[str] = None,
     trace_sink: Optional[str] = None,
     buffer_size: int = 65536,
@@ -232,108 +105,56 @@ def run_traced_soak(
 
     ``batched=True`` exercises the coalesced fast paths (span-attributed
     deltas); the default per-op mode attributes every access to its
-    exact operation.  ``trace_sink`` streams the full JSONL trace to a
-    file even when the ring buffer is smaller than the run.  The trace
-    is framed: a header record (schema/seed/config/mode) leads the
-    JSONL stream and a footer (emitted/dropped) closes it.
+    exact operation.  ``mode`` picks the engine (``gate``/``turbo``/
+    ``vector``): identical service order and accounting, so a turbo
+    trace must diff clean against a gate run of the same seed — the CI
+    soak asserts exactly that.
 
-    ``turbo=True`` runs the store on the access-fused turbo engine
-    (identical service order and accounting; the trace must diff clean
-    against a gate run of the same seed — the CI soak asserts exactly
-    that).  ``mode`` generalizes it to any registered engine
-    (``gate``/``turbo``/``vector``) and wins over ``turbo`` when both
-    are given.  ``monitor=True`` additionally screens every event through the
-    online invariant monitors (:class:`~repro.obs.monitors.MonitorSuite`)
-    while the soak runs; violations land in the returned run's
-    ``monitors`` suite and, as ``invariant_violation`` events, in the
-    trace itself.
-
-    ``serve_port`` attaches the live observability plane
-    (:class:`~repro.obs.live.LivePlane`): the windowed collector plus an
-    HTTP server answering ``/metrics``, ``/health``, and ``/snapshot``
-    while the soak runs (port 0 binds ephemerally; the bound port lands
-    in the run's ``live`` summary), along with the tag-domain serve
-    auditor.  ``serve_linger`` keeps serving that long after the drive
-    finishes (CI scrapes during the window).  ``flight_path`` arms an
-    always-on :class:`~repro.obs.flight.FlightRecorder` that auto-dumps
-    an analyze-loadable mini-trace around the first invariant violation.
-    ``fault`` injects a seeded telemetry fault (a :data:`FAULT_PRESETS`
-    name) after ``fault_after`` clean warmup ops (default ``ops // 2``),
-    so monitors have true reference state to convict against — the
-    flight-recorder CI path uses exactly this.
+    The observability keywords are the
+    :class:`~repro.obs.harness.RunHarness` ones: ``trace_sink`` streams the framed JSONL trace (header record
+    first, footer last) even when the ring buffer is smaller than the
+    run; ``monitor`` screens every event through the online invariant
+    monitors; ``serve_port`` attaches the live plane and the serve
+    auditor (``serve_ready`` gets the bound plane before any operation
+    runs); ``flight_path`` arms the flight recorder.  ``fault`` injects
+    a seeded telemetry fault (a :data:`FAULT_PRESETS` name) after
+    ``fault_after`` clean warmup ops (default ``ops // 2``), so monitors
+    have true reference state to convict against — the flight-recorder
+    CI path uses exactly this.
     """
     if fault is not None and fault not in FAULT_PRESETS:
         raise ValueError(
             f"unknown fault preset {fault!r}; "
             f"expected one of {sorted(FAULT_PRESETS)}"
         )
-    mode = resolve_mode(mode, turbo)
-    probes = StandardProbes()
-    tracer = Tracer(
-        buffer_size=buffer_size, sink=trace_sink, observers=[probes]
-    )
+    mode = resolve_mode(mode)
     store = HardwareTagStore(
-        granularity=granularity, fast_mode=batched, mode=mode,
-        tracer=tracer,
+        granularity=granularity, fast_mode=batched, mode=mode
     )
-    tracer.write_header(
-        build_trace_header(
+    harness = RunHarness(
+        store,
+        header=dict(
             seed=seed,
             mode="batched" if batched else "per_op",
             config=store.describe(),
             ops=ops,
             buffer_size=buffer_size,
             engine=mode,
-        )
+        ),
+        trace_sink=trace_sink,
+        buffer_size=buffer_size,
+        monitor=monitor,
+        flight_path=flight_path,
+        serve_port=serve_port,
+        serve_host=serve_host,
+        serve_linger=serve_linger,
+        live_interval=live_interval,
+        watchdog_timeout=watchdog_timeout,
+        serve_ready=serve_ready,
     )
-    suite: Optional[MonitorSuite] = None
-    if monitor:
-        suite = MonitorSuite.for_circuit(store.circuit, tracer=tracer)
-        tracer.add_observer(suite)
-
-    live_enabled = serve_port is not None
-    flight: Optional[FlightRecorder] = None
-    if flight_path is not None:
-        flight = FlightRecorder(flight_path, header=tracer.header)
-        flight.attach(tracer)
-    auditor: Optional[ServeStreamAuditor] = None
-    plane: Optional[LivePlane] = None
-    if live_enabled:
-        monitor_config = MonitorConfig.from_circuit_config(store.describe())
-        auditor = ServeStreamAuditor(
-            instruments=probes.instruments,
-            modular=monitor_config.modular,
-            tag_space=monitor_config.tag_space,
-        )
-        tracer.add_observer(
-            auditor, kinds=ServeStreamAuditor.OBSERVED_KINDS
-        )
-        registry = store.circuit.registry
-        plane = LivePlane(
-            instruments=probes.instruments,
-            progress=lambda: registry.total().total,
-            occupancy=lambda: store.circuit.count,
-            free_list_depth=lambda: store.circuit.free_list_depth,
-            monitors=suite,
-            tracer=tracer,
-            flight=flight,
-            auditor=auditor,
-            serve_port=serve_port,
-            serve_host=serve_host,
-            interval=live_interval,
-            watchdog_timeout=watchdog_timeout,
-        )
-        plane.start()
-        if serve_ready is not None:
-            # Hands the bound plane (ephemeral port included) to the
-            # caller before any operation runs — tests and supervisors
-            # use this to scrape the endpoints mid-soak.
-            serve_ready(plane)
-
     stream = make_mixed_ops(ops, seed)
     drive = _drive_batched if batched else _drive_per_op
-    live_summary: Optional[Dict] = None
-    try:
+    with harness:
         if fault is None:
             served = drive(store, stream)
         else:
@@ -342,39 +163,19 @@ def run_traced_soak(
             served = drive(store, stream[:warmup])
             store.circuit.fault_injection = FAULT_PRESETS[fault]
             served = served + drive(store, stream[warmup:])
-    finally:
-        if plane is not None:
-            if serve_linger > 0:
-                import time as _time
-
-                _time.sleep(serve_linger)
-            live_summary = plane.finish()
-        tracer.flush()
-        tracer.close()
-        if flight is not None:
-            flight.close()
     return TracedRun(
-        tracer=tracer,
+        harness=harness,
         store=store,
-        instruments=probes.instruments,
         ops=ops,
         seed=seed,
         batched=batched,
         served=len(served),
-        turbo=mode == "turbo",
         engine=mode,
-        monitors=suite,
-        live=live_summary,
-        live_instruments=(
-            plane.collector.live if plane is not None else None
-        ),
-        flight=flight,
-        auditor=auditor,
         fault=fault,
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro obs",
         description=(
@@ -396,100 +197,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="use the coalesced fast paths (span-attributed deltas)",
     )
-    parser.add_argument(
-        "--mode",
-        choices=tuple(VALID_MODES),
-        default="gate",
-        help=(
-            "circuit engine: 'gate' walks the gate-accurate model, "
-            "'turbo' uses the access-fused hot paths, 'vector' the "
-            "numpy array data plane (identical service order and "
-            "gate-shaped accounting, faster wall clock)"
-        ),
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE", help="stream the JSONL event trace here"
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        help="write a Prometheus-style metrics snapshot here",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the run report here (default: stdout)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "prometheus"),
-        default="text",
-        help=(
-            "run-report format ('prometheus' writes a scrape-shaped "
-            "metrics snapshot without starting the server)"
-        ),
-    )
-    parser.add_argument(
-        "--buffer-size",
-        type=int,
-        default=65536,
-        help="tracer ring-buffer capacity",
-    )
-    parser.add_argument(
-        "--monitor",
-        action="store_true",
-        help=(
-            "screen every event through the online invariant monitors; "
-            "exit 1 on any violated paper guarantee"
-        ),
-    )
-    parser.add_argument(
-        "--allow-lossy",
-        action="store_true",
-        help=(
-            "exit 0 even when the ring buffer evicted events (a "
-            "streaming --trace sink still captures the full stream)"
-        ),
-    )
-    parser.add_argument(
-        "--serve",
-        type=int,
-        metavar="PORT",
-        default=None,
-        help=(
-            "attach the live observability plane and serve /metrics, "
-            "/health, /snapshot on this port while the soak runs "
-            "(0 = ephemeral)"
-        ),
-    )
-    parser.add_argument(
-        "--serve-linger",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="keep the live endpoints up this long after the soak",
-    )
-    parser.add_argument(
-        "--live-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="windowed-collector cadence",
-    )
-    parser.add_argument(
-        "--watchdog",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="declare a stall after this long without progress",
-    )
-    parser.add_argument(
-        "--flight",
-        metavar="FILE",
-        help=(
-            "arm the flight recorder: auto-dump an analyze-loadable "
-            "mini-trace around the first invariant violation"
-        ),
+    add_flags(
+        parser, "--mode", "--trace", "--metrics", "--output", "--format",
+        "--buffer-size", "--monitor", "--allow-lossy", "--serve",
+        "--serve-linger", "--live-interval", "--watchdog", "--flight",
     )
     parser.add_argument(
         "--inject-fault",
@@ -508,65 +219,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="OPS",
         help="clean warmup ops before --inject-fault kicks in",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     run = run_traced_soak(
         ops=args.ops,
         seed=args.seed,
         granularity=args.granularity,
         batched=args.batched,
-        mode=args.mode,
-        trace_sink=args.trace,
-        buffer_size=args.buffer_size,
-        monitor=args.monitor,
-        serve_port=args.serve,
-        serve_linger=args.serve_linger,
-        live_interval=args.live_interval,
-        watchdog_timeout=args.watchdog,
-        flight_path=args.flight,
         fault=args.inject_fault,
         fault_after=args.fault_after,
+        **soak_kwargs(args),
     )
-
-    if args.format == "json":
-        report = json.dumps(run.to_document(), indent=2) + "\n"
-    elif args.format == "prometheus":
-        report = run.metrics_text()
-    else:
-        report = run.report()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-    else:
-        sys.stdout.write(report)
-
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(prometheus_snapshot(run.instruments))
-
-    status = 0
-    if not run.reconciled:
-        print(
-            "FAIL: trace deltas do not reconcile with the stats registry",
-            file=sys.stderr,
-        )
-        status = 1
-    if run.monitors is not None and not run.monitors.ok:
-        print(
-            f"FAIL: {len(run.monitors.violations)} invariant "
-            f"violation(s) — see the run report",
-            file=sys.stderr,
-        )
-        status = 1
-    if run.tracer.dropped and not args.allow_lossy:
-        print(
-            f"FAIL: {run.tracer.dropped} events evicted from the ring "
-            f"buffer (raise --buffer-size, or pass --allow-lossy if a "
-            f"--trace sink captured the stream)",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
+    return finish(
+        args,
+        run,
+        [(
+            run.reconciled,
+            "trace deltas do not reconcile with the stats registry",
+        )],
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI

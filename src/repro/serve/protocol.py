@@ -16,6 +16,7 @@ leans on), so a tag echoed by the server re-submits bit-identically in a
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional, Tuple
 
 #: protocol revision, reported by ``hello`` and stamped into snapshots
@@ -45,11 +46,14 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 
     Raises :class:`ProtocolDecodeError` on malformed JSON or a payload
     that is not an object — the server answers those with an error
-    response instead of dropping the connection.
+    response instead of dropping the connection.  That covers every
+    way the parser gives up: bad UTF-8 and bad JSON, an integer past
+    CPython's digit limit (``ValueError``) and nesting past the
+    recursion limit (``RecursionError``).
     """
     try:
         message = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolDecodeError(f"malformed JSON line: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolDecodeError(
@@ -62,11 +66,23 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 # verb schemas
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # Finite only: Python's json accepts NaN/Infinity, and 1e999 parses
+    # to inf, but neither is a rate, a delay or a tag.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_flow(value: Any) -> bool:
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
 
 
 #: verb → (required fields, optional fields); each maps name → checker
@@ -76,7 +92,7 @@ VERBS: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {
     "open": (
         {
             "tenant": lambda v: isinstance(v, str) and bool(v),
-            "flow": _is_int,
+            "flow": _is_flow,
             "rate_bps": _is_number,
         },
         {
@@ -85,9 +101,9 @@ VERBS: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {
             "delay_target_s": _is_number,
         },
     ),
-    "close": ({"flow": _is_int}, {}),
+    "close": ({"flow": _is_flow}, {}),
     # data plane
-    "enqueue": ({"flow": _is_int, "size": _is_int}, {}),
+    "enqueue": ({"flow": _is_flow, "size": _is_int}, {}),
     "cancel": ({"handle": _is_int}, {}),
     "reschedule": ({"handle": _is_int, "tag": _is_number}, {}),
     "drain": ({"count": _is_int}, {}),

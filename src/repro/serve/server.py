@@ -38,6 +38,7 @@ from ..hwsim.errors import ConfigurationError, ProtocolError
 from ..net.admission import AdmissionController
 from ..net.fabric_system import FabricSchedulerSystem
 from ..net.session_table import SessionStateTable
+from ..obs.harness import RunHarness, add_flags
 from ..sched.packet import Packet
 from . import lifecycle
 from .backpressure import SCHEMES, BackpressureController
@@ -103,8 +104,7 @@ class ServeConfig:
     table_capacity: int = 8192
     min_rate_bps: float = 1e6
     utilization_limit: float = 0.95
-    turbo: bool = True
-    mode: Optional[str] = None
+    mode: str = "turbo"
     workers: int = 0
     scheme: str = "shared"
     mark_fraction: float = 0.65
@@ -133,7 +133,6 @@ class ServeConfig:
         "table_capacity",
         "min_rate_bps",
         "utilization_limit",
-        "turbo",
         "mode",
         "workers",
         "scheme",
@@ -143,14 +142,7 @@ class ServeConfig:
     )
 
     def __post_init__(self) -> None:
-        # Normalize the engine pair: ``mode`` wins when set; the legacy
-        # ``turbo`` bool keeps working (and keeps freezing) for old
-        # snapshots and callers.
-        if self.mode is None:
-            self.mode = "turbo" if self.turbo else "gate"
-        else:
-            resolve_mode(self.mode)
-        self.turbo = self.mode == "turbo"
+        self.mode = resolve_mode(self.mode)
         if self.drain_mode not in ("manual", "paced"):
             raise ConfigurationError(
                 f"drain_mode must be 'manual' or 'paced', "
@@ -168,12 +160,11 @@ class ServeConfig:
         """Take the snapshot's scheduling fields (restore path)."""
         for name in self.SCHEDULING_FIELDS:
             if name == "mode" and name not in recorded:
-                # Pre-engine snapshots froze only the turbo bool.
+                # Pre-engine snapshots froze only the legacy turbo bool.
                 value = "turbo" if recorded.get("turbo", True) else "gate"
             else:
                 value = recorded[name]
             setattr(self, name, value)
-        self.turbo = self.mode == "turbo"
 
 
 class ServeEngine:
@@ -625,9 +616,7 @@ class WfqServer:
             self.config.snapshot_interval_ops
         )
         self.port: Optional[int] = None
-        self._plane = None
-        self._tracer = None
-        self._suite = None
+        self._harness: Optional[RunHarness] = None
         self._drain_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
@@ -723,110 +712,68 @@ class WfqServer:
 
     # ------------------------------------------------------------------
 
-    def attach_live_plane(self) -> None:
-        """Wire up /metrics, /health, monitors, and the flight recorder."""
-        if self.config.metrics_port is None:
-            return
-        from ..obs.events import build_trace_header
-        from ..obs.flight import FlightRecorder
-        from ..obs.live import LivePlane
-        from ..obs.monitors import MonitorConfig, MonitorSuite
-        from ..obs.probes import StandardProbes
-        from ..obs.slo import ServeStreamAuditor
-        from ..obs.tracer import Tracer
+    def _status(self) -> Dict[str, Any]:
+        """The serve block of the live plane's ``/health``."""
+        engine = self.engine
+        return {
+            "serve": {
+                "sessions": engine.sessions.count,
+                "served_seq": engine.served_seq,
+                "enqueued": engine.counters["enqueued"],
+                "backpressure": {
+                    "marked": engine.backpressure.marked,
+                    "rejected": engine.backpressure.rejected,
+                },
+                "buffer_high_watermark": engine.system.buffer.high_watermark,
+                "vnow": engine.vnow,
+            }
+        }
 
+    @property
+    def metrics_port(self) -> Optional[int]:
+        """The live plane's bound port (``None`` without ``metrics_port``)."""
+        plane = self._harness.plane if self._harness is not None else None
+        return plane.port if plane is not None else None
+
+    @property
+    def monitors_ok(self) -> bool:
+        """Whether the attached invariant monitors are all clean."""
+        return self._harness is None or not self._harness.failures()
+
+    # ------------------------------------------------------------------
+
+    async def serve(self) -> int:
+        """Run until shutdown; returns the process exit status.
+
+        With ``metrics_port`` the run harness traces the fabric through
+        the invariant monitors (and the flight recorder, with
+        ``flight_path``) and serves the live plane; the status is 1 when
+        a monitor fired.
+        """
+        self._shutdown = asyncio.Event()
+        if self._shutdown_flag:
+            self._shutdown.set()
         fabric = self.engine.system.store
-        probes = StandardProbes()
-        tracer = Tracer(
-            buffer_size=65536,
-            sink=self.config.trace_path,
-            observers=[probes],
-        )
-        tracer.write_header(
-            build_trace_header(
+        self._harness = RunHarness(
+            fabric,
+            header=dict(
                 seed=0,
                 mode="per_op",
                 config=fabric.stores[0].describe(),
                 ops=0,
                 purpose="serve",
                 engine=self.config.mode,
-            )
-        )
-        suite = MonitorSuite.for_circuit(
-            fabric.stores[0].circuit, tracer=tracer
-        )
-        tracer.add_observer(suite)
-        flight = None
-        if self.config.flight_path:
-            flight = FlightRecorder(
-                self.config.flight_path, header=tracer.header
-            )
-            flight.attach(tracer)
-        monitor_config = MonitorConfig.from_circuit_config(
-            fabric.stores[0].describe()
-        )
-        auditor = ServeStreamAuditor(
-            instruments=probes.instruments,
-            modular=monitor_config.modular,
-            tag_space=monitor_config.tag_space,
-        )
-        tracer.add_observer(auditor, kinds=ServeStreamAuditor.OBSERVED_KINDS)
-        fabric.attach_tracer(tracer)
-        engine = self.engine
-
-        def extra_status() -> Dict[str, Any]:
-            return {
-                "serve": {
-                    "sessions": engine.sessions.count,
-                    "served_seq": engine.served_seq,
-                    "enqueued": engine.counters["enqueued"],
-                    "backpressure": {
-                        "marked": engine.backpressure.marked,
-                        "rejected": engine.backpressure.rejected,
-                    },
-                    "buffer_high_watermark": (
-                        engine.system.buffer.high_watermark
-                    ),
-                    "vnow": engine.vnow,
-                }
-            }
-
-        self._plane = LivePlane(
-            instruments=probes.instruments,
-            progress=lambda: float(fabric.pushes + fabric.pops),
-            occupancy=lambda: float(len(fabric)),
-            shard_occupancies=lambda: [
-                float(n) for n in fabric.occupancies()
-            ],
-            free_list_depth=lambda: float(
-                sum(s.circuit.free_list_depth for s in fabric.stores)
             ),
-            monitors=suite,
-            tracer=tracer,
-            flight=flight,
-            auditor=auditor,
+            traced=self.config.metrics_port is not None,
+            trace_sink=self.config.trace_path,
+            monitor=True,
+            flight_path=self.config.flight_path,
             serve_port=self.config.metrics_port,
             serve_host=self.config.metrics_host,
-            interval=self.config.live_interval,
+            live_interval=self.config.live_interval,
             watchdog_timeout=self.config.watchdog_timeout,
-            extra_status=extra_status,
+            extra_status=self._status,
         )
-        self._tracer = tracer
-        self._suite = suite
-
-    @property
-    def monitors_ok(self) -> bool:
-        """Whether the attached invariant monitors are all clean."""
-        return self._suite is None or self._suite.ok
-
-    # ------------------------------------------------------------------
-
-    async def serve(self) -> int:
-        """Run until shutdown; returns the process exit status."""
-        self._shutdown = asyncio.Event()
-        if self._shutdown_flag:
-            self._shutdown.set()
-        self.attach_live_plane()
         self._server = await asyncio.start_server(
             self._handle_client,
             self.config.host,
@@ -843,15 +790,23 @@ class WfqServer:
                 # embed the server that way): signals are the embedding
                 # process's business then.
                 pass
-        if self._plane is not None:
-            self._plane.start()
+        try:
+            # The live plane starts once the port is bound, just before
+            # the announce line.
+            with self._harness:
+                await self._serve_until_shutdown()
+        finally:
+            self.engine.close()
+        return 0 if self.monitors_ok else 1
+
+    async def _serve_until_shutdown(self) -> None:
         announce = {
             "listening": self.config.host,
             "port": self.port,
             "protocol": PROTOCOL_VERSION,
         }
-        if self._plane is not None and self._plane.port is not None:
-            announce["metrics_port"] = self._plane.port
+        if self.metrics_port is not None:
+            announce["metrics_port"] = self.metrics_port
         print(json.dumps(announce), flush=True)
         if self.config.drain_mode == "paced":
             self._drain_task = asyncio.ensure_future(self._paced_drain())
@@ -864,14 +819,6 @@ class WfqServer:
             await self._server.wait_closed()
             if self.config.snapshot_path is not None:
                 self.engine.snapshot()
-            if self._plane is not None:
-                self._plane.finish()
-            if self._tracer is not None:
-                self._tracer.flush()
-                self._tracer.close()
-            status = 0 if self.monitors_ok else 1
-            self.engine.close()
-        return status
 
 
 # ----------------------------------------------------------------------
@@ -906,12 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission rate floor, bits/s (sizes the tag quantum)",
     )
     parser.add_argument("--utilization", type=float, default=0.95)
-    parser.add_argument(
-        "--mode",
-        choices=("gate", "turbo", "vector"),
-        default="turbo",
-        help="circuit engine",
-    )
+    add_flags(parser, "--mode", mode={"default": "turbo"})
     parser.add_argument(
         "--workers", type=int, default=0, help="fabric worker processes"
     )
@@ -951,14 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the live plane (/metrics /health) on this port",
     )
     parser.add_argument("--metrics-host", default="127.0.0.1")
-    parser.add_argument("--live-interval", type=float, default=0.5)
-    parser.add_argument("--watchdog", type=float, metavar="SECONDS")
-    parser.add_argument(
-        "--trace", metavar="FILE", help="stream the JSONL event trace here"
-    )
-    parser.add_argument(
-        "--flight", metavar="FILE", help="flight-recorder dump path"
-    )
+    add_flags(parser, "--live-interval", "--watchdog", "--trace", "--flight")
     return parser
 
 

@@ -229,7 +229,7 @@ class TestFabricSystemDynamicUpdates:
 
     @pytest.mark.parametrize("turbo", [False, True])
     def test_cancel_and_repin_are_shard_drain_free(self, turbo):
-        system = self.make_system(turbo=turbo)
+        system = self.make_system(mode="turbo" if turbo else "gate")
         t = 0.0
         handles = []
         for i in range(60):
@@ -286,7 +286,7 @@ class TestTurboHeadCacheInvalidation:
     retag that changes the head must drop the memo, never serve it."""
 
     def test_remove_of_head_invalidates_cache(self):
-        store = HardwareTagStore(granularity=1.0, capacity=64, turbo=True)
+        store = HardwareTagStore(granularity=1.0, capacity=64, mode="turbo")
         head = store.push(10.0, 0)
         store.push(10.0, 1)
         store.push(10.0, 2)  # duplicates warm the head-path cache
@@ -297,7 +297,7 @@ class TestTurboHeadCacheInvalidation:
         assert [store.pop_min()[1] for _ in range(3)] == [1, 2, 3]
 
     def test_retag_of_head_run_never_serves_stale_path(self):
-        store = HardwareTagStore(granularity=1.0, capacity=64, turbo=True)
+        store = HardwareTagStore(granularity=1.0, capacity=64, mode="turbo")
         handles = [store.push(10.0, i) for i in range(4)]
         store.push(30.0, 9)
         store.retag(handles[0], 40.0)
@@ -308,7 +308,7 @@ class TestTurboHeadCacheInvalidation:
     def test_churned_turbo_store_matches_gate_store(self):
         rng = random.Random(29)
         gate = HardwareTagStore(granularity=1.0, capacity=128)
-        turbo = HardwareTagStore(granularity=1.0, capacity=128, turbo=True)
+        turbo = HardwareTagStore(granularity=1.0, capacity=128, mode="turbo")
         live = []
         tag = 10.0
         for step in range(400):

@@ -165,7 +165,7 @@ class TestScenarioFamilies:
     def test_gate_turbo_exact_parity(self):
         gate = run_timer_soak(pattern="churn", events=1_500, seed=9)
         turbo = run_timer_soak(
-            pattern="churn", events=1_500, seed=9, turbo=True
+            pattern="churn", events=1_500, seed=9, mode="turbo"
         )
         assert turbo.fired_deadlines == gate.fired_deadlines
         assert turbo.cycles == gate.cycles

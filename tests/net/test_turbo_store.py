@@ -27,7 +27,7 @@ def _registry_snapshot(store):
 def test_store_turbo_parity_per_op(seed):
     ops = make_mixed_ops(4_000, seed)
     gate = HardwareTagStore(granularity=GRANULARITY)
-    turbo = HardwareTagStore(granularity=GRANULARITY, turbo=True)
+    turbo = HardwareTagStore(granularity=GRANULARITY, mode="turbo")
     assert _drive_per_op(turbo, ops) == _drive_per_op(gate, ops)
     assert turbo.circuit.cycles == gate.circuit.cycles
     assert _registry_snapshot(turbo) == _registry_snapshot(gate)
@@ -41,7 +41,7 @@ def test_store_turbo_parity_batched():
     ops = make_mixed_ops(4_000, 11)
     gate = HardwareTagStore(granularity=GRANULARITY, fast_mode=True)
     turbo = HardwareTagStore(
-        granularity=GRANULARITY, fast_mode=True, turbo=True
+        granularity=GRANULARITY, fast_mode=True, mode="turbo"
     )
     assert _drive_batched(turbo, ops) == _drive_batched(gate, ops)
     assert turbo.circuit.cycles == gate.circuit.cycles
@@ -49,7 +49,7 @@ def test_store_turbo_parity_batched():
 
 
 def test_store_describe_and_state_carry_engine():
-    turbo = HardwareTagStore(granularity=GRANULARITY, turbo=True)
+    turbo = HardwareTagStore(granularity=GRANULARITY, mode="turbo")
     assert turbo.describe()["turbo"] is True
     assert turbo.turbo is True
     _drive_per_op(turbo, make_mixed_ops(1_000, 7))
@@ -66,7 +66,9 @@ def test_store_describe_and_state_carry_engine():
 def test_fabric_turbo_parity(shards):
     ops = make_flow_ops(3_000, 17)
     gate = ScheduleFabric(shards=shards, granularity=GRANULARITY)
-    turbo = ScheduleFabric(shards=shards, granularity=GRANULARITY, turbo=True)
+    turbo = ScheduleFabric(
+        shards=shards, granularity=GRANULARITY, mode="turbo"
+    )
 
     def drive(fabric):
         served = []
@@ -84,7 +86,7 @@ def test_fabric_turbo_parity(shards):
 
 
 def test_fabric_state_roundtrip_keeps_turbo():
-    fabric = ScheduleFabric(shards=2, granularity=GRANULARITY, turbo=True)
+    fabric = ScheduleFabric(shards=2, granularity=GRANULARITY, mode="turbo")
     fabric.push(10.0, 1)
     fabric.push(20.0, 2)
     state = fabric.to_state()

@@ -13,7 +13,7 @@ SEED = 20060101
 
 
 def test_turbo_soak_reconciles_and_monitors_clean():
-    run = run_traced_soak(ops=3_000, seed=SEED, turbo=True, monitor=True)
+    run = run_traced_soak(ops=3_000, seed=SEED, mode="turbo", monitor=True)
     assert run.turbo is True
     assert run.store.turbo is True
     assert run.reconciled
@@ -26,7 +26,7 @@ def test_turbo_soak_reconciles_and_monitors_clean():
 
 def test_turbo_trace_diffs_clean_against_gate():
     gate = run_traced_soak(ops=3_000, seed=SEED)
-    turbo = run_traced_soak(ops=3_000, seed=SEED, turbo=True)
+    turbo = run_traced_soak(ops=3_000, seed=SEED, mode="turbo")
     assert gate.tracer.header["engine"] == "gate"
     diff = diff_traces(
         gate.tracer.events(),
@@ -49,7 +49,7 @@ def test_turbo_trace_diffs_clean_against_gate():
 
 def test_turbo_batched_soak_matches_gate_batched():
     gate = run_traced_soak(ops=3_000, seed=SEED, batched=True)
-    turbo = run_traced_soak(ops=3_000, seed=SEED, batched=True, turbo=True)
+    turbo = run_traced_soak(ops=3_000, seed=SEED, batched=True, mode="turbo")
     diff = diff_traces(
         gate.tracer.events(),
         turbo.tracer.events(),

@@ -212,3 +212,155 @@ class TestSnapshotPolicy:
     def test_negative_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             lifecycle.SnapshotPolicy(-1)
+
+
+def continued_tail(engine):
+    """A mixed tail of requests, answered by ``engine``."""
+    answers = []
+    for index in range(40):
+        answers.append(
+            engine.handle_request(
+                {"op": "enqueue", "flow": index % 8, "size": 400 + index}
+            )
+        )
+        if index % 9 == 0:
+            answers.append(engine.handle_request({"op": "drain", "count": 4}))
+    answers.append(engine.handle_request({"op": "drain", "count": 10_000}))
+    return answers
+
+
+def restored_engine(state):
+    """Restore ``state`` the way ``repro serve --restore`` does."""
+    config = small_config()
+    config.adopt_scheduling_fields(state["config"])
+    engine = ServeEngine(config)
+    engine.restore(state)
+    return engine
+
+
+def without_key(value, key):
+    """``value`` with every ``key`` entry dropped, at any depth."""
+    if isinstance(value, dict):
+        return {
+            name: without_key(item, key)
+            for name, item in value.items()
+            if name != key
+        }
+    if isinstance(value, list):
+        return [without_key(item, key) for item in value]
+    return value
+
+
+class TestLegacySnapshots:
+    """Snapshots written before the one mode knob still restore."""
+
+    @pytest.mark.parametrize("mode", ["gate", "turbo"])
+    def test_parent_format_snapshot_continues_the_exact_order(self, mode):
+        # The previous format also froze a ``turbo`` bool in the config.
+        engine = loaded_engine(small_config(mode=mode))
+        state = json.loads(json.dumps(lifecycle.capture_state(engine)))
+        state["config"]["turbo"] = mode == "turbo"
+        restored = restored_engine(state)
+        assert restored.config.mode == mode
+        assert continued_tail(restored) == continued_tail(engine)
+        engine.close()
+        restored.close()
+
+    @pytest.mark.parametrize("mode", ["gate", "turbo"])
+    def test_pre_engine_snapshot_with_only_turbo(self, mode):
+        engine = loaded_engine(small_config(mode=mode))
+        state = json.loads(json.dumps(lifecycle.capture_state(engine)))
+        state = without_key(state, "mode")
+        state["config"]["turbo"] = mode == "turbo"
+        restored = restored_engine(state)
+        assert restored.config.mode == mode
+        assert all(
+            store.mode == mode for store in restored.system.store.stores
+        )
+        assert continued_tail(restored) == continued_tail(engine)
+        engine.close()
+        restored.close()
+
+
+class TestCrashPoints:
+    """A crash at any step of ``write_snapshot`` leaves the last
+    complete snapshot readable, and it continues the exact order."""
+
+    CRASH_POINTS = [
+        "mkstemp", "mid_write", "file_fsync", "replace", "dir_fsync"
+    ]
+
+    def inject(self, monkeypatch, point):
+        """Make the write fail at ``point``."""
+
+        class Crash(Exception):
+            pass
+
+        if point == "mkstemp":
+            def mkstemp(*args, **kwargs):
+                raise Crash(point)
+
+            monkeypatch.setattr(lifecycle.tempfile, "mkstemp", mkstemp)
+        elif point == "mid_write":
+            real_write_json = lifecycle._write_json
+
+            def write_json(write, value, path=()):
+                written = []
+
+                def failing_write(text):
+                    written.append(text)
+                    if len(written) > 3:
+                        raise Crash(point)
+                    write(text)
+
+                real_write_json(failing_write, value, path)
+
+            monkeypatch.setattr(lifecycle, "_write_json", write_json)
+        elif point in ("file_fsync", "dir_fsync"):
+            real_fsync = os.fsync
+            calls = []
+
+            def fsync(fd):
+                calls.append(fd)
+                failing_call = 1 if point == "file_fsync" else 2
+                if len(calls) == failing_call:
+                    raise Crash(point)
+                real_fsync(fd)
+
+            monkeypatch.setattr(lifecycle.os, "fsync", fsync)
+        else:
+            def replace(source, target):
+                raise Crash(point)
+
+            monkeypatch.setattr(lifecycle.os, "replace", replace)
+        return Crash
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_last_complete_snapshot_survives(
+        self, tmp_path, monkeypatch, point
+    ):
+        if point == "dir_fsync" and not hasattr(os, "O_DIRECTORY"):
+            pytest.skip("directory fsync is POSIX-only")
+        path = str(tmp_path / "snap.json")
+        old_engine = loaded_engine(drains=40)
+        lifecycle.write_snapshot(path, lifecycle.capture_state(old_engine))
+        new_engine = loaded_engine(drains=70)
+        crash = self.inject(monkeypatch, point)
+        with pytest.raises(crash):
+            lifecycle.write_snapshot(
+                path, lifecycle.capture_state(new_engine)
+            )
+        monkeypatch.undo()
+        # Before the rename the old snapshot stands; after it, the new.
+        survivor = new_engine if point == "dir_fsync" else old_engine
+        state = lifecycle.read_snapshot(path)
+        assert state["served_seq"] == survivor.served_seq
+        restored = restored_engine(state)
+        assert continued_tail(restored) == continued_tail(survivor)
+        assert not [
+            name
+            for name in os.listdir(str(tmp_path))
+            if name.startswith(".serve-snapshot-")
+        ]
+        for engine in (old_engine, new_engine, restored):
+            engine.close()
