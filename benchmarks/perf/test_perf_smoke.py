@@ -33,12 +33,14 @@ def _quiesced_gc():
             gc.enable()
 
 from repro.bench.perf import (
+    _SCHEMA,
     _sorted_tags,
     check_against_baseline,
     machine_mismatch_warnings,
     main,
     run_bench,
 )
+from repro.core.engine import numpy_or_none
 from repro.core.matching import ALL_MATCHERS
 from repro.core.matching.base import MatchResult
 from repro.core.sort_retrieve import ServedTag, TagSortRetrieveCircuit
@@ -110,7 +112,13 @@ def test_check_round_trip(tmp_path):
     assert main(["--smoke", "--output", str(baseline_path)]) == 0
     assert baseline_path.exists()
     document = json.loads(baseline_path.read_text())
-    assert document["schema"] == 6
+    assert document["schema"] == _SCHEMA
+    # Schema 7 added the vector phase: present, with its served-order
+    # parity check passed, whenever numpy imports; None without it.
+    if numpy_or_none() is None:
+        assert document["vector"] is None
+    else:
+        assert document["vector"]["served_orders_identical"] is True
     # since schema 3 the forensic reference trace sits beside the baseline
     assert (tmp_path / "baseline.trace.jsonl").exists()
     assert main(["--smoke", "--check", "--output", str(baseline_path)]) == 0

@@ -14,7 +14,7 @@ Regenerates any of the paper's evaluation artifacts without pytest:
 ``python -m repro obs`` runs a traced telemetry soak (see
 :mod:`repro.obs.runner`), ``python -m repro fabric`` runs a traced soak
 through the sharded scheduling fabric (see :mod:`repro.fabric.runner`:
-``--shards``, ``--workers``, ``--checkpoint``), ``python -m repro
+``--shards``, ``--checkpoint``), ``python -m repro
 timer`` runs a timer-wheel workload over the circuit's remove/retag
 primitives (see :mod:`repro.net.timer`: ``--pattern
 {churn,retransmit,expiry}``, ``--shards``), and ``python -m repro

@@ -1464,7 +1464,7 @@ class TagSortRetrieveCircuit:
         return self.tree.clear_root_section(root_literal)
 
     # ------------------------------------------------------------------
-    # checkpoint / restore (shard migration, process-parallel backends)
+    # checkpoint / restore (snapshots and shard migration)
 
     def to_state(self) -> dict:
         """Exact serializable snapshot of the whole circuit.

@@ -877,8 +877,7 @@ class TagStorageMemory:
         counter, the head registers, and the SRAM access stats.  The
         result is a plain dict of JSON-compatible values (payloads that
         are themselves JSON-compatible survive a JSON round trip; any
-        picklable payload survives pickling, which is what the fabric's
-        process-parallel backend uses).
+        picklable payload survives pickling).
         """
         cells: List[Optional[list]] = []
         for cell in self._memory._cells:

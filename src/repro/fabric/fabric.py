@@ -116,16 +116,15 @@ class ScheduleFabric:
         self._flow_live: Dict[int, int] = {}
         #: live tag count per shard, kept incrementally by every path
         #: that moves entries in or out of a store (push, push_batch,
-        #: pop_min, pop_batch, remove, migration, the worker backend)
-        #: and rebuilt by load_state, so routing and rebalance planning
-        #: never recount the stores.
+        #: pop_min, pop_batch, remove, migration) and rebuilt by
+        #: load_state, so routing and rebalance planning never recount
+        #: the stores.
         self._occupancy: List[int] = [0] * shards
         self.pushes = 0
         self.pops = 0
         self.cancels = 0
         self.repins = 0
         self._tracer = NULL_TRACER
-        self._pool = None
         self._relocation_listeners: List[
             Callable[[Dict[int, int]], None]
         ] = []
@@ -179,7 +178,6 @@ class ScheduleFabric:
                 "pops": self.pops,
                 "cancels": self.cancels,
                 "repins": self.repins,
-                "workers": self._pool.workers if self._pool else 0,
             }
         )
         return config
@@ -385,9 +383,7 @@ class ScheduleFabric:
         ``(finish_tag, flow_id, payload)``.  Routing is a scalar pass
         with in-batch occupancy estimates (so spill decisions see the
         batch's own fill-up), then each touched shard takes its group as
-        one :meth:`HardwareTagStore.push_batch` — or, with a worker pool
-        attached, the groups run in parallel processes via the circuit
-        state snapshots.
+        one :meth:`HardwareTagStore.push_batch`.
         """
         items = list(items)
         if not items:
@@ -419,23 +415,20 @@ class ScheduleFabric:
                         shard=shard,
                     )
         self.pushes += len(items)
-        if self._pool is not None:
-            self._push_groups_parallel(groups, spilled_counts)
-        else:
-            for shard, group in enumerate(groups):
-                if not group:
-                    continue
-                self.stores[shard].push_batch(group)
-                self._occupancy[shard] += len(group)
-                self._sync_head(shard)
-                if traced:
-                    self._tracer.event(
-                        "shard_enqueue",
-                        component=FABRIC_COMPONENT,
-                        shard=shard,
-                        count=len(group),
-                        spilled=spilled_counts[shard],
-                    )
+        for shard, group in enumerate(groups):
+            if not group:
+                continue
+            self.stores[shard].push_batch(group)
+            self._occupancy[shard] += len(group)
+            self._sync_head(shard)
+            if traced:
+                self._tracer.event(
+                    "shard_enqueue",
+                    component=FABRIC_COMPONENT,
+                    shard=shard,
+                    count=len(group),
+                    spilled=spilled_counts[shard],
+                )
         self._maybe_rebalance()
 
     # ------------------------------------------------------------------
@@ -598,101 +591,6 @@ class ScheduleFabric:
         relocations = self._maybe_rebalance()
         new_handle = shard * self.capacity_per_shard + new_local
         return relocations.get(new_handle, new_handle)
-
-    # ------------------------------------------------------------------
-    # worker backend (process-parallel enqueue built on checkpoints)
-
-    def use_workers(self, workers: int) -> None:
-        """Attach a process pool; batched enqueues fan out across it.
-
-        Built entirely on the checkpoint API: each worker restores its
-        shard from a state snapshot, runs the group, and ships the new
-        snapshot back.  The returned per-structure deltas ride on the
-        ``shard_enqueue`` events so traced runs still reconcile exactly
-        against the (snapshot-restored) registry totals.
-        """
-        from .workers import FabricWorkerPool
-
-        self.close_workers()
-        self._pool = FabricWorkerPool(workers)
-
-    def close_workers(self) -> None:
-        """Shut the worker pool down (no-op when none is attached)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    @property
-    def workers(self) -> int:
-        """Attached worker process count (0 = in-process backend)."""
-        return self._pool.workers if self._pool is not None else 0
-
-    def __enter__(self) -> "ScheduleFabric":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        """Reap any attached worker pool, hard on exceptions.
-
-        A clean exit closes the pool gracefully; an exception
-        terminates it so orphaned worker processes never outlive a
-        crashed soak (the :class:`FabricWorkerPool` contract).
-        """
-        if self._pool is not None:
-            if exc_type is not None:
-                self._pool.terminate()
-                self._pool = None
-            else:
-                self.close_workers()
-        return False
-
-    def _push_groups_parallel(
-        self,
-        groups: List[List[Tuple[float, Tuple[int, object]]]],
-        spilled_counts: List[int],
-    ) -> None:
-        traced = self._tracer.enabled
-        jobs = [
-            (shard, self.stores[shard].to_state(), group)
-            for shard, group in enumerate(groups)
-            if group
-        ]
-        results = self._pool.push_batches(
-            [
-                (state, group, traced, shard_component(shard))
-                for shard, state, group in jobs
-            ]
-        )
-        for (shard, _state, group), (
-            new_state,
-            residual,
-            events,
-            dropped,
-        ) in zip(jobs, results):
-            self.stores[shard].load_state(new_state)
-            self._occupancy[shard] = len(self.stores[shard])
-            self._sync_head(shard)
-            if traced:
-                # Merge the shard's shipped event stream before the
-                # summary event, mirroring the in-process ordering
-                # (per-op circuit events, then shard_enqueue).  The
-                # residual deltas cover whatever traffic the shipped
-                # events do not claim (ring-dropped events), so the
-                # trace reconciles exactly either way.
-                if events:
-                    self._tracer.ingest(
-                        events, component=shard_component(shard)
-                    )
-                self._tracer.event(
-                    "shard_enqueue",
-                    component=FABRIC_COMPONENT,
-                    shard=shard,
-                    count=len(group),
-                    spilled=spilled_counts[shard],
-                    deltas=residual,
-                    worker=True,
-                    shipped=len(events),
-                    worker_dropped=dropped,
-                )
 
     # ------------------------------------------------------------------
     # telemetry

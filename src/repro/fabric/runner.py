@@ -9,13 +9,12 @@ the event stream reconcile exactly with the per-structure totals summed
 over every shard's ``StatsRegistry``.
 
 Beyond the :mod:`repro.obs.runner` contract it adds the fabric-specific
-switches: ``--shards``/``--flows`` shape the partition, ``--workers``
-fans batched enqueues out to a process pool, ``--monitor`` screens the
-interleaved multi-store trace through the per-component invariant
-monitors, and ``--checkpoint FILE`` snapshots the whole fabric mid-soak,
-restores a second fabric from the JSON file, and replays the remaining
-operations on both — the run fails unless the service sequences match
-element for element.
+switches: ``--shards``/``--flows`` shape the partition, ``--monitor``
+screens the interleaved multi-store trace through the per-component
+invariant monitors, and ``--checkpoint FILE`` snapshots the whole
+fabric mid-soak, restores a second fabric from the JSON file, and
+replays the remaining operations on both — the run fails unless the
+service sequences match element for element.
 
 Kept out of :mod:`repro.fabric`'s eager imports (it pulls in the bench
 layer) — the CLI imports it lazily.
@@ -47,7 +46,6 @@ class FabricRun(HarnessRun):
     seed: int
     batched: bool
     served: int
-    workers: int = 0
     checkpoint: Optional[Dict] = None
 
     @property
@@ -80,8 +78,6 @@ class FabricRun(HarnessRun):
                 for component, total in by_component.items()
             )
             notes.append(f"attribution by shard: {parts}")
-        if self.workers:
-            notes.append(f"workers: {self.workers}-process enqueues")
         if self.checkpoint is not None:
             verdict = (
                 "identical"
@@ -121,7 +117,6 @@ class FabricRun(HarnessRun):
                 "rebalances": manager.rebalance_count,
                 "flows_moved": manager.flows_moved,
                 "tournament_comparisons": self.fabric.tournament.comparisons,
-                "workers": self.workers,
                 "cycles_makespan": self.fabric.cycles,
                 "cycles_total": self.fabric.cycles_total,
             },
@@ -142,7 +137,6 @@ def run_fabric_soak(
     granularity: float = 8.0,
     batched: bool = False,
     mode: Optional[str] = None,
-    workers: int = 0,
     trace_sink: Optional[str] = None,
     buffer_size: int = 65536,
     monitor: bool = False,
@@ -158,12 +152,10 @@ def run_fabric_soak(
     """Drive a traced fabric soak and return its telemetry.
 
     ``batched=True`` exercises the coalesced paths (grouped per-shard
-    inserts, fence-bounded tournament drains); ``workers`` additionally
-    fans the batched enqueue groups out to that many processes via the
-    checkpoint API.  ``monitor=True`` screens the interleaved
-    multi-store event stream through the per-component invariant
-    monitors (every shard's config is identical, so shard 0's circuit
-    parameterizes the suite).
+    inserts, fence-bounded tournament drains).  ``monitor=True``
+    screens the interleaved multi-store event stream through the
+    per-component invariant monitors (every shard's config is
+    identical, so shard 0's circuit parameterizes the suite).
 
     ``checkpoint_path`` splits the soak in half: the fabric is
     snapshotted to that file mid-run, a second fabric is restored from
@@ -180,9 +172,9 @@ def run_fabric_soak(
     per-shard inversion-budget SLO rule on top of the auditor: any
     single shard exceeding that many rank inversions flips ``/health``
     to a breach attributed to the culprit shard.  ``watchdog_timeout``
-    arms a progress watchdog — with a worker pool, a hung ``pool.map``
-    stops the summed-registry progress reading and the collector
-    thread declares the stall (no per-op heartbeat on the hot path).
+    arms a progress watchdog: when the summed-registry progress reading
+    stops moving, the collector thread declares the stall (no per-op
+    heartbeat on the hot path).
     """
     mode = resolve_mode(mode)
     fabric = ScheduleFabric(
@@ -216,19 +208,13 @@ def run_fabric_soak(
                 "shards": fabric.shards,
                 "pushes": fabric.pushes,
                 "pops": fabric.pops,
-                "workers": workers,
             }
         },
     )
-    if workers:
-        fabric.use_workers(workers)
     stream = make_flow_ops(ops, seed, flows=flows)
     drive = _drive_batched if batched else _drive_per_op
     checkpoint_doc: Optional[Dict] = None
-    # The fabric context manager reaps the worker pool: a clean exit
-    # closes it, an exception terminates it, so crashed soaks never
-    # leak OS processes.
-    with harness, fabric:
+    with harness:
         if checkpoint_path:
             split = len(stream) // 2
             served = drive(fabric, stream[:split])
@@ -257,7 +243,6 @@ def run_fabric_soak(
         seed=seed,
         batched=batched,
         served=len(served),
-        workers=workers,
         checkpoint=checkpoint_doc,
     )
 
@@ -295,15 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the coalesced paths (grouped inserts, fenced drains)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "fan batched enqueues out to this many processes "
-            "(0 = in-process; implies --batched semantics for enqueues)"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint",
         metavar="FILE",
         help=(
@@ -339,8 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         shards=args.shards,
         flows=args.flows,
         granularity=args.granularity,
-        batched=args.batched or args.workers > 0,
-        workers=args.workers,
+        batched=args.batched,
         checkpoint_path=args.checkpoint,
         shard_slo_inversions=args.shard_slo_inversions,
         **soak_kwargs(args),

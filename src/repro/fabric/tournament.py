@@ -113,7 +113,7 @@ class TournamentAggregator:
         return self.comparisons - before
 
     def rebuild(self, tags: List[Optional[int]]) -> None:
-        """Reload every leaf at once (restore / worker-return path)."""
+        """Reload every leaf at once (the restore path)."""
         if len(tags) != self.leaves:
             raise ConfigurationError(
                 f"expected {self.leaves} head tags, got {len(tags)}"

@@ -57,7 +57,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         partition_policy: str = "hash",
         flow_space: int = 1024,
         policy: Optional["FabricPolicy"] = None,
-        workers: int = 0,
         tracer=None,
     ) -> None:
         if shards < 1:
@@ -76,7 +75,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         self._partition_policy = partition_policy
         self._flow_space = flow_space
         self._policy = policy
-        self._workers = workers
 
     @property
     def store(self) -> "ScheduleFabric":  # type: ignore[override]
@@ -109,8 +107,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
                 policy=self._policy,
                 tracer=self._tracer,
             )
-            if self._workers:
-                fabric.use_workers(self._workers)
             self._store = fabric  # type: ignore[assignment]
         return self._store  # type: ignore[return-value]
 
@@ -193,8 +189,3 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         makespan cycles.
         """
         return self.shards * self.clock_hz / 4.0
-
-    def close(self) -> None:
-        """Release the worker pool, if one is attached."""
-        if self._store is not None:
-            self._store.close_workers()

@@ -369,11 +369,30 @@ class HardwareTagStore:
         A cancel plus a re-push under the full wrap discipline — span
         guard, behind-minimum clamping, frontier advance — so the moved
         entry lands exactly where a fresh :meth:`push` of
-        ``new_finish_tag`` for the same flow would.  The span guard runs
-        *before* the removal, so a rejected repin leaves the store
-        untouched.  Returns the entry's new handle.
+        ``new_finish_tag`` for the same flow would.  Returns the entry's
+        new handle.
+
+        The new tag comes from outside, so it must first lie in the live
+        window: less than half the tag space ahead of *or behind* the
+        span floor.  A tag far behind would otherwise, when the entry is
+        its store's only one, empty the store at the removal and open a
+        fresh epoch at that quantum, dragging the span floor with it.
+        The check runs before the removal, so a rejected repin leaves
+        the store untouched, and its message names the tag as sent,
+        never its quantized offset (hundreds of digits for ``1e308``).
         """
-        self._guard_span(self.quantize(new_finish_tag))
+        floor = self._span_floor()
+        if floor is not None:
+            offset = self.quantize(new_finish_tag) - floor
+            if not -self._half_space < offset < self._half_space:
+                side = "ahead of" if offset > 0 else "behind"
+                raise ProtocolError(
+                    f"tag {new_finish_tag!r} lies {side} the live window: "
+                    f"a repin tag must stay within {self._half_space - 1} "
+                    f"quanta of the span floor (half the "
+                    f"{self._tag_space}-value tag space at granularity "
+                    f"{self.granularity})"
+                )
         _, flow_id = self.circuit.remove(handle).payload
         return self.push(new_finish_tag, flow_id)
 
@@ -419,7 +438,7 @@ class HardwareTagStore:
         return self.circuit.count
 
     # ------------------------------------------------------------------
-    # checkpoint / restore (shard migration, process-parallel backends)
+    # checkpoint / restore (snapshots and shard migration)
 
     def to_state(self) -> dict:
         """Exact serializable snapshot: circuit state + wrap bookkeeping.

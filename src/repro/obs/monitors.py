@@ -758,12 +758,10 @@ class FabricBalanceMonitor(_Monitor):
     """Fabric occupancy-balance bookkeeping stays consistent.
 
     Maintains a per-shard occupancy ledger from the shard-local op
-    events (worker-mode batches, which emit no per-op events, advance
-    the ledger via their ``shard_enqueue`` counts) and cross-checks the
-    occupancy vector every ``rebalance`` event reports.  A mismatch
-    means the fabric's balance decisions were taken on occupancies that
-    do not match what the shards actually did — routing state drift.
-    Inert outside fabric traces.
+    events and cross-checks the occupancy vector every ``rebalance``
+    event reports.  A mismatch means the fabric's balance decisions
+    were taken on occupancies that do not match what the shards
+    actually did — routing state drift.  Inert outside fabric traces.
     """
 
     name = "fabric_balance"
@@ -796,15 +794,6 @@ class FabricBalanceMonitor(_Monitor):
             occupancy = event.attrs.get("occupancy")
             if shard is not None and occupancy is not None:
                 self._ledger[shard] = occupancy
-        elif event.kind == "shard_enqueue" and event.attrs.get("worker"):
-            # Worker-mode batches run out of process: no per-op events,
-            # so the batch count advances the ledger instead.  A shard
-            # never seen before stays unknown (we cannot assume it was
-            # empty — the fabric may have been restored mid-run).
-            shard = event.attrs.get("shard")
-            count = event.attrs.get("count")
-            if shard in self._ledger and count is not None:
-                self._ledger[shard] += int(count)
 
     def on_violation(self, event: TraceEvent) -> None:
         # Resync to the reported vector so one drift is one violation.

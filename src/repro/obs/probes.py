@@ -10,12 +10,12 @@ It never touches the traced components — everything is derived from the
 events — so the same probes work on a live tracer or on a replayed
 JSONL file (:func:`repro.obs.exporters.read_jsonl`).
 
-Events stamped with a ``component`` attr (per-shard views, ingested
-worker events) are recorded **twice**: once into the unlabeled family
-(the fleet aggregate, exactly the pre-label behavior) and once into the
-``shard``-labeled series of the same family.  Per-shard series therefore
-sum to the aggregate *by construction* — the invariant the hypothesis
-property test pins down.
+Events stamped with a ``component`` attr (per-shard views and
+fabric-level events) are recorded **twice**: once into the unlabeled
+family (the fleet aggregate, exactly the pre-label behavior) and once
+into the ``shard``-labeled series of the same family.  Per-shard
+series therefore sum to the aggregate *by construction* — the invariant
+the hypothesis property test pins down.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Converts an event trace into the Trace Event Format JSON that
   fixed-width op slices;
 * ``occupancy`` and ``free_list_depth`` become counter (``"C"``) tracks;
 * invariant violations render as instant (``"i"``) markers;
-* events stamped with a ``component`` attr (per-shard fabric views,
-  ingested worker events) get their own synthetic *process* per
+* events stamped with a ``component`` attr (per-shard fabric views
+  and fabric-level events) get their own synthetic *process* per
   component — ``shard0``, ``shard1``, ``fabric``, ... — each with the
   same ops/maintenance/batch thread trio and its own counter tracks, so
   a sharded trace renders as side-by-side per-shard lanes.  Traces with

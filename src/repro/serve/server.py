@@ -105,7 +105,6 @@ class ServeConfig:
     min_rate_bps: float = 1e6
     utilization_limit: float = 0.95
     mode: str = "turbo"
-    workers: int = 0
     scheme: str = "shared"
     mark_fraction: float = 0.65
     reject_fraction: float = 0.9
@@ -134,7 +133,6 @@ class ServeConfig:
         "min_rate_bps",
         "utilization_limit",
         "mode",
-        "workers",
         "scheme",
         "mark_fraction",
         "reject_fraction",
@@ -186,7 +184,6 @@ class ServeEngine:
             granularity=self.granularity,
             buffer_capacity=config.buffer_capacity,
             mode=config.mode,
-            workers=config.workers,
             tracer=tracer,
         )
         self.admission = AdmissionController(
@@ -461,8 +458,9 @@ class ServeEngine:
         try:
             new_handle = self.system.reschedule(handle, new_tag)
         except ProtocolError as exc:
-            # The span guard rejected the new tag *before* anything
-            # moved; the entry is still live under its old handle.
+            # The repin window check rejected the new tag *before*
+            # anything moved; the entry is still live under its old
+            # handle.
             self.token_handles[token] = handle
             self.handle_tokens[handle] = token
             return error_response(request, f"reschedule rejected: {exc}")
@@ -562,11 +560,10 @@ class ServeEngine:
         lifecycle.restore_state(self, state)
 
     def close(self) -> None:
-        """Release resources (worker pool, serve log)."""
+        """Close the serve log, if one is open."""
         if self._serve_log is not None:
             self._serve_log.close()
             self._serve_log = None
-        self.system.close()
 
 
 #: the answer to a request line longer than LINE_LIMIT (it carries no
@@ -854,9 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--utilization", type=float, default=0.95)
     add_flags(parser, "--mode", mode={"default": "turbo"})
-    parser.add_argument(
-        "--workers", type=int, default=0, help="fabric worker processes"
-    )
     parser.add_argument("--scheme", choices=SCHEMES, default="shared")
     parser.add_argument("--mark-fraction", type=float, default=0.65)
     parser.add_argument("--reject-fraction", type=float, default=0.9)
@@ -906,7 +900,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         min_rate_bps=args.min_rate,
         utilization_limit=args.utilization,
         mode=args.mode,
-        workers=args.workers,
         scheme=args.scheme,
         mark_fraction=args.mark_fraction,
         reject_fraction=args.reject_fraction,

@@ -61,6 +61,26 @@ class TestStoreDynamicUpdates:
         assert len(store) == 2
         assert store.remove(handle) == (5.0, 1)
 
+    @pytest.mark.parametrize("tag", [-1e308, -1e7, 5.0 - 2048])
+    def test_retag_far_behind_only_entry_rejects_before_mutation(self, tag):
+        # The entry is the store's only one: were the removal to run, the
+        # re-push would open a fresh epoch at the far-behind quantum and
+        # drag the span floor there.
+        store = HardwareTagStore(granularity=1.0, capacity=8)
+        handle = store.push(5.0, 1)
+        state = store.to_state()
+        with pytest.raises(ProtocolError, match="behind the live window"):
+            store.retag(handle, tag)
+        assert store.to_state() == state
+        store.push(6.0, 2)
+        assert [store.pop_min() for _ in range(2)] == [(5.0, 1), (6.0, 2)]
+
+    def test_retag_just_inside_the_window_is_accepted(self):
+        store = HardwareTagStore(granularity=1.0, capacity=8)
+        handle = store.push(5.0, 1)
+        store.retag(handle, 5.0 - 2047)
+        assert store.pop_min() == (5.0 - 2047, 1)
+
     def test_stale_store_handle_raises(self):
         store = HardwareTagStore(granularity=1.0, capacity=8)
         handle = store.push(5.0, 1)

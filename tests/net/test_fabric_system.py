@@ -79,11 +79,3 @@ def test_rejects_zero_shards():
     with pytest.raises(ConfigurationError):
         FabricSchedulerSystem(1e9, shards=0)
 
-
-def test_close_releases_worker_pool():
-    system = register_flows(FabricSchedulerSystem(1e9, shards=2, workers=2))
-    arrivals = make_arrivals(300, 3)
-    system.enqueue_batch(arrivals)
-    assert system.store.workers == 2
-    system.close()
-    assert system.store.workers == 0

@@ -53,7 +53,6 @@ SURFACE = {
         ("--granularity",): (8.0, None),
         ("--batched",): (False, None),
         ("--mode",): ("gate", ("gate", "turbo", "vector")),
-        ("--workers",): (0, None),
         ("--trace",): (None, None),
         ("--metrics",): (None, None),
         ("--checkpoint",): (None, None),
@@ -102,7 +101,6 @@ SURFACE = {
         ("--min-rate",): (1000000.0, None),
         ("--utilization",): (0.95, None),
         ("--mode",): ("turbo", ("gate", "turbo", "vector")),
-        ("--workers",): (0, None),
         ("--scheme",): ("shared", ("shared", "per_queue", "weighted")),
         ("--mark-fraction",): (0.65, None),
         ("--reject-fraction",): (0.9, None),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.hwsim.stats import AccessStats, StatsRegistry
 from repro.obs.events import SPAN_KIND, TraceEvent
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, ComponentTracer, NullTracer, Tracer
 
 
 def make_registry():
@@ -196,80 +196,22 @@ class TestEventRoundTrip:
         assert rebuilt.delta_total == 6
 
 
-def foreign_records():
-    """A worker-style event stream serialized to dicts."""
-    worker = Tracer()
-    with worker.span("push_batch"):
-        worker.event(
-            "insert", tag=1, deltas={"tree": AccessStats(reads=2, writes=1)}
-        )
-        worker.event(
-            "insert", tag=2, deltas={"tree": AccessStats(reads=1, writes=1)}
-        )
-    return [event.to_dict() for event in worker.events()]
-
-
-class TestIngest:
-    def test_reemits_with_fresh_seqs_and_component(self):
-        parent = Tracer()
-        parent.event("dequeue", tag=0)
-        ingested = parent.ingest(foreign_records(), component="shard1")
-        assert [e.seq for e in parent.events()] == [0, 1, 2, 3]
-        assert all(e.attrs["component"] == "shard1" for e in ingested)
-        assert [e.kind for e in ingested] == ["insert", "insert", "span"]
-
-    def test_existing_component_stamp_wins(self):
-        parent = Tracer()
-        records = foreign_records()
-        records[0]["attrs"]["component"] = "shard9"
-        ingested = parent.ingest(records, component="shard1")
-        assert ingested[0].attrs["component"] == "shard9"
-        assert ingested[1].attrs["component"] == "shard1"
-
-    def test_span_ids_remapped_consistently(self):
-        parent = Tracer()
-        # Collide the parent's span-id space with the worker's.
-        with parent.span("outer"):
-            pass
-        ingested = parent.ingest(foreign_records(), component="shard0")
-        children = [e for e in ingested if e.kind == "insert"]
-        close = next(e for e in ingested if e.kind == SPAN_KIND)
-        # Children point at the remapped span id the close event carries.
-        assert children[0].span_id == close.attrs["span"]
-        assert children[1].span_id == close.attrs["span"]
-        # ... and the remapped id is fresh, not the worker's id 1.
-        parent_span_ids = {
-            e.attrs["span"] for e in parent.events(SPAN_KIND)
-        }
-        assert len(parent_span_ids) == 2
-
-    def test_top_level_records_parent_under_open_span(self):
-        parent = Tracer()
-        registry = make_registry()
-        with parent.span("shard_group", registry=registry):
-            ingested = parent.ingest(
-                [
-                    TraceEvent(
-                        seq=0,
-                        kind="insert",
-                        name="insert",
-                        deltas={"tree": AccessStats(reads=3, writes=0)},
-                    ).to_dict()
-                ],
-                component="shard2",
-            )
-        close = parent.events(SPAN_KIND)[-1]
-        assert ingested[0].span_id == close.attrs["span"]
-        # The open span absorbed the ingested deltas, so attribution
-        # stays exact: totals == the one ingested delta.
-        totals = parent.attributed_totals()
-        assert totals["tree"].reads == 3
-        assert totals["tree"].writes == 0
-
+class TestComponentAttribution:
     def test_attributed_totals_by_component(self):
         parent = Tracer()
-        parent.ingest(foreign_records(), component="shard0")
-        parent.ingest(foreign_records(), component="shard1")
+        for component in ("shard0", "shard1"):
+            view = ComponentTracer(parent, component)
+            with view.span("push_batch"):
+                view.event(
+                    "insert",
+                    tag=1,
+                    deltas={"tree": AccessStats(reads=2, writes=1)},
+                )
+                view.event(
+                    "insert",
+                    tag=2,
+                    deltas={"tree": AccessStats(reads=1, writes=1)},
+                )
         parent.event(
             "insert",
             tag=5,
@@ -286,7 +228,5 @@ class TestIngest:
             "tree"
         ].total == 5
 
-    def test_null_tracer_ingest_is_a_noop(self):
-        tracer = NullTracer()
-        assert tracer.ingest(foreign_records(), component="shard0") == []
-        assert tracer.attributed_totals_by_component() == {}
+    def test_null_tracer_has_no_component_totals(self):
+        assert NullTracer().attributed_totals_by_component() == {}

@@ -256,10 +256,12 @@ class TestLegacySnapshots:
 
     @pytest.mark.parametrize("mode", ["gate", "turbo"])
     def test_parent_format_snapshot_continues_the_exact_order(self, mode):
-        # The previous format also froze a ``turbo`` bool in the config.
+        # Earlier formats also froze a ``turbo`` bool and a ``workers``
+        # process count in the config; both are ignored on restore.
         engine = loaded_engine(small_config(mode=mode))
         state = json.loads(json.dumps(lifecycle.capture_state(engine)))
         state["config"]["turbo"] = mode == "turbo"
+        state["config"]["workers"] = 2
         restored = restored_engine(state)
         assert restored.config.mode == mode
         assert continued_tail(restored) == continued_tail(engine)

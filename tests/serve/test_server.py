@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import re
 import threading
 import time
 
@@ -152,23 +153,49 @@ class TestEngineVerbs:
         engine.close()
 
     def test_reschedule_span_reject_keeps_entry_live(self):
-        engine = opened_engine(flows=1)
-        handle = engine.handle_request(
-            {"op": "enqueue", "flow": 0, "size": 100}
-        )["handle"]
-        response = engine.handle_request(
-            {
-                "op": "reschedule",
-                "handle": handle,
-                "tag": engine.granularity * 10_000_000.0,
-            }
-        )
-        assert not response["ok"]
-        # The packet is still queued and still cancellable.
-        assert engine.handle_request({"op": "cancel", "handle": handle})[
-            "ok"
-        ]
-        engine.close()
+        granularity = ServeEngine(small_config()).granularity
+        # Far ahead, and far behind: each lies half the tag space or
+        # more from the span floor.  The packet is its shard's only
+        # entry, so an accepted far-behind repin would open a fresh
+        # epoch there and refuse every later enqueue on the flow.
+        for tag in (granularity * 10_000_000.0, -1e308, -granularity * 1e7):
+            for then_cancel in (True, False):
+                engine = opened_engine(flows=1)
+                first = engine.handle_request(
+                    {"op": "enqueue", "flow": 0, "size": 100}
+                )
+                response = engine.handle_request(
+                    {"op": "reschedule", "handle": first["handle"], "tag": tag}
+                )
+                assert not response["ok"]
+                reason = response["reason"]
+                assert reason.startswith("reschedule rejected: ")
+                assert repr(tag) in reason
+                assert not re.search(r"\d{20}", reason), reason
+                if then_cancel:
+                    # The packet is still queued and still cancellable.
+                    cancelled = engine.handle_request(
+                        {"op": "cancel", "handle": first["handle"]}
+                    )
+                    assert cancelled["ok"]
+                    assert cancelled["tag"] == first["tag"]
+                else:
+                    later = [
+                        engine.handle_request(
+                            {"op": "enqueue", "flow": 0, "size": 100}
+                        )
+                        for _ in range(3)
+                    ]
+                    assert all(answer["ok"] for answer in later), later
+                    served = engine.handle_request(
+                        {"op": "drain", "count": 10}
+                    )["served"]
+                    tags = [record["tag"] for record in served]
+                    assert tags == [first["tag"]] + [
+                        answer["tag"] for answer in later
+                    ]
+                    assert tags == sorted(tags)
+                engine.close()
 
     def test_backpressure_rejects_at_threshold(self):
         engine = opened_engine(
