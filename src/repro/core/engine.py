@@ -136,6 +136,8 @@ class DataPlaneEngine(Protocol):
 
     def peek_head(self) -> Optional[ServedTag]: ...
 
+    def peek_tags(self, count: int) -> List[int]: ...
+
     def describe(self) -> dict: ...
 
     # -- the paper's operations ----------------------------------------

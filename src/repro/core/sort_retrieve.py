@@ -266,6 +266,15 @@ class TagSortRetrieveCircuit:
         tag, payload, address = head
         return ServedTag(tag=tag, payload=payload, address=address)
 
+    def peek_tags(self, count: int) -> List[int]:
+        """The raw tags of the next ``count`` entries, in service order.
+
+        A link walk from the head over the storage cells: nothing moves
+        and nothing is accounted, like :meth:`peek_head`.  Over-asking
+        raises before anything is read, as :meth:`dequeue_batch` does.
+        """
+        return self.storage.peek_tags(count)
+
     @property
     def fast_mode(self) -> bool:
         """Whether the verification shadow is disabled (opt-in fast path)."""

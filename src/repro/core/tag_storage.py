@@ -403,6 +403,29 @@ class TagStorageMemory:
         self._count -= 1
         return link.tag, link.payload, address
 
+    def peek_tags(self, count: int) -> List[int]:
+        """The tags of the first ``count`` links, head first (peek-only).
+
+        A walk along ``next_address`` from the head register over the
+        raw cells: nothing moves and no access is counted, like
+        :meth:`walk`.  Over-asking raises :class:`EmptyStructureError`
+        before any cell is read, the :meth:`dequeue_batch` contract.
+        """
+        if count < 0:
+            raise ConfigurationError("peek count must be non-negative")
+        if count > self._count:
+            raise EmptyStructureError(
+                f"peek_tags({count}) from a storage holding {self._count}"
+            )
+        cells = self._memory._cells
+        tags: List[int] = []
+        address = self._head_address
+        for _ in range(count):
+            link = cells[address]
+            tags.append(link.tag)
+            address = link.next_address
+        return tags
+
     def dequeue_batch(self, count: int) -> List[Tuple[int, Any, int]]:
         """Remove the ``count`` smallest tags in one amortized pass.
 

@@ -364,6 +364,75 @@ class VectorSortRetrieveCircuit:
                 return pos
         return None
 
+    #: Fewest buckets a :meth:`_select` window spans past the head.
+    _SELECT_WINDOW = 64
+
+    def _select(self, count: int):
+        """The bucket prefix holding the next ``count`` entries.
+
+        Returns ``(tags, quotas, partial, following)``: the live tags
+        from the head on, in service order, up to the one holding the
+        ``count``-th entry; how many entries each gives; whether that
+        last tag keeps entries behind; and the live tag after it when
+        the scan saw one (else None).  The scan reads a window past the
+        head sized for ``count`` entries at the circuit's mean density
+        (the whole space when the batch takes every entry), doubling
+        until it covers them, so a small batch's cost follows the span
+        it serves, not the tag space.  The caller guarantees
+        ``1 <= count <= self._count``.
+        """
+        np = self._xp
+        head = self._head_tag
+        space = self._tag_space
+        bucket_count = self._bucket_count
+        width = min(
+            max(self._SELECT_WINDOW, count * space // self._count), space
+        )
+        while True:
+            stop = head + width
+            if stop <= space:
+                window = bucket_count[head:stop]
+            elif self.modular:
+                window = np.concatenate(
+                    (bucket_count[head:], bucket_count[: stop - space])
+                )
+            else:
+                window = bucket_count[head:]
+            relative = window.nonzero()[0]
+            counts = window[relative]
+            cumulative = counts.cumsum()
+            if int(cumulative[-1]) >= count or width >= space:
+                break
+            width = min(2 * width, space)
+        last = int(cumulative.searchsorted(count))
+        tags = relative + head
+        if stop > space and self.modular:
+            tags %= space
+        quotas = counts[: last + 1].copy()
+        take_last = count - (int(cumulative[last - 1]) if last else 0)
+        partial = take_last < int(quotas[last])
+        quotas[last] = take_last
+        following = int(tags[last + 1]) if last + 1 < tags.size else None
+        return tags[: last + 1], quotas, partial, following
+
+    def peek_tags(self, count: int) -> List[int]:
+        """The raw tags of the next ``count`` entries, in service order.
+
+        The selection prefix :meth:`dequeue_batch` serves, expanded per
+        entry: nothing moves and nothing is accounted, like
+        :meth:`peek_head`.  Over-asking raises before anything is read.
+        """
+        if count < 0:
+            raise ConfigurationError("peek count must be non-negative")
+        if count > self._count:
+            raise EmptyStructureError(
+                f"peek_tags({count}) from a circuit holding {self._count}"
+            )
+        if count == 0:
+            return []
+        tags, quotas, _, _ = self._select(count)
+        return self._xp.repeat(tags, quotas).tolist()
+
     def _advance_head(self, departed: int) -> None:
         """Recompute the head register after ``departed`` drained."""
         if self._count == 0:
@@ -821,9 +890,10 @@ class VectorSortRetrieveCircuit:
         """Serve the ``count`` smallest tags as one set of array ops.
 
         Same raise-before-mutate over-ask contract as the gate batch.
-        Bucket drains run as one vectorized chain-step loop whose
-        iteration count is the longest duplicate run served, not the
-        batch size.
+        Selection scans only the buckets the batch spans
+        (:meth:`_select`), and bucket drains run as one vectorized
+        chain-step loop whose iteration count is the longest duplicate
+        run served, not the batch size.
         """
         if count < 0:
             raise ConfigurationError("dequeue count must be non-negative")
@@ -834,29 +904,12 @@ class VectorSortRetrieveCircuit:
         if count == 0:
             return []
         np = self._xp
-        head = self._head_tag
-        bucket_count = self._bucket_count
-        if self.modular:
-            rolled = np.roll(bucket_count, -head)
-            relative = np.flatnonzero(rolled)
-            live_tags = (relative + head) % self._tag_space
-            live_counts = rolled[relative]
-        else:
-            live_tags = np.flatnonzero(bucket_count)
-            live_counts = bucket_count[live_tags]
-        cumulative = np.cumsum(live_counts)
-        last = int(np.searchsorted(cumulative, count))
-        already = int(cumulative[last - 1]) if last else 0
-        take_last = count - already
-        partial = take_last < int(live_counts[last])
-
-        selected = live_tags[: last + 1]
-        quotas = live_counts[: last + 1].astype(np.int64).copy()
-        quotas[last] = take_last
-        bases = np.concatenate(([0], np.cumsum(quotas)[:-1]))
-        cursors = self._bucket_head[selected].copy()
-        positions = bases.copy()
-        limits = bases + quotas
+        selected, quotas, partial, following = self._select(count)
+        last = selected.size - 1
+        take_last = int(quotas[last])
+        limits = np.cumsum(quotas)
+        positions = limits - quotas
+        cursors = self._bucket_head[selected]
         out = np.empty(count, dtype=np.int64)
         entry_next = self._entry_next
         active = np.flatnonzero(positions < limits)
@@ -877,11 +930,11 @@ class VectorSortRetrieveCircuit:
             self._bucket_head[partial_tag] = int(cursors[last])
             self._bucket_count[partial_tag] -= take_last
 
-        cleared = np.zeros_like(self._occ)
-        np.bitwise_or.at(
-            cleared, out >> 6, np.uint64(1) << (out & 63).astype(np.uint64)
+        np.bitwise_and.at(
+            self._occ,
+            out >> 6,
+            ~(np.uint64(1) << (out & 63).astype(np.uint64)),
         )
-        self._occ &= ~cleared
         self._free_stack[self._free_top : self._free_top + count] = out
         self._free_top += count
         self._count -= count
@@ -918,6 +971,8 @@ class VectorSortRetrieveCircuit:
             self._head_tag = None
         elif partial:
             self._head_tag = int(selected[last])
+        elif following is not None:
+            self._head_tag = following
         else:
             self._advance_head(int(selected[last]))
 

@@ -28,15 +28,33 @@ fabric busy time is the *makespan* — the maximum per-shard cycle count
 fabric therefore enqueues ~N× faster in modeled time than one circuit,
 which is the scale-out claim the fabric benchmark phase measures.
 
-Batched dequeues drain the winner shard in *runs*: the runner-up fence
-(second-best head) bounds how far the winner may drain before any other
-shard could hold the minimum, so a k-entry run costs one tournament
-refresh instead of k.
+**Batched dequeues** pay per shard, not per entry.  A drain of
+:data:`MERGE_MIN_BATCH` entries or more is planned as the k-way merge
+it is: every shard lists its next tags without moving anything
+(``peek_tags``), the fabric sorts them by wrap-aware offset from the
+winner's tag (ties to the lower shard index), makes one
+:meth:`HardwareTagStore.pop_batch` per touched shard and interleaves
+the results; occupancy, per-flow counts and the tournament leaves are
+updated once per batch.  Smaller drains keep the runner-up fence loop:
+the winner drains in runs bounded by the second-best head, so a k-entry
+run costs one tournament refresh instead of k (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import groupby
+from operator import le
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.engine import resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
@@ -56,6 +74,11 @@ def shard_component(shard: int) -> str:
 #: The ``component`` label on fabric-level events (routing, tournament,
 #: rebalance) as opposed to shard-local circuit events.
 FABRIC_COMPONENT = "fabric"
+
+#: Smallest :meth:`ScheduleFabric.pop_batch` served as a k-way merge.
+#: Below it the fence loop is as cheap as peeking, sorting and one store
+#: call per shard (the measured crossover is in DESIGN.md §9).
+MERGE_MIN_BATCH = 64
 
 
 class ScheduleFabric:
@@ -469,12 +492,16 @@ class ScheduleFabric:
     def pop_batch(self, count: int) -> List[Tuple[float, object]]:
         """Serve the ``count`` globally smallest tags, in service order.
 
-        Identical sequence to ``count`` :meth:`pop_min` calls.  The
-        winner shard drains in a run bounded by the **runner-up fence**:
-        while its new head still precedes the second-best shard's head
-        (ties included only when the winner has the lower index — the
-        tournament's tie rule), no other shard can hold the global
-        minimum, so the run costs one tournament refresh total.
+        Identical sequence to ``count`` :meth:`pop_min` calls.  A drain
+        of :data:`MERGE_MIN_BATCH` entries or more is planned as a k-way
+        merge of the shards' peeked streams (:meth:`_plan_merge`) and
+        served with one :meth:`HardwareTagStore.pop_batch` per touched
+        shard (:meth:`_pop_merged`).  A smaller drain, or one the merge
+        cannot order, drains the winner shard in runs bounded by the
+        **runner-up fence**: while its new head still precedes the
+        second-best shard's head (ties included only when the winner has
+        the lower index — the tournament's tie rule), no other shard can
+        hold the global minimum, so a run costs one tournament refresh.
         """
         if count < 0:
             raise ConfigurationError("pop_batch count must be non-negative")
@@ -483,6 +510,10 @@ class ScheduleFabric:
             raise ProtocolError(
                 f"pop_batch({count}) from a fabric holding {held}"
             )
+        if count >= MERGE_MIN_BATCH:
+            order = self._plan_merge(count)
+            if order is not None:
+                return self._pop_merged(order)
         out: List[Tuple[float, object]] = []
         remaining = count
         while remaining > 0:
@@ -527,6 +558,85 @@ class ScheduleFabric:
                     ),
                 )
         return out
+
+    def _plan_merge(self, count: int) -> Optional[List[int]]:
+        """The shard of each of the next ``count`` entries, in order.
+
+        Every non-empty shard lists the raw tags of its next
+        ``min(count, occupancy)`` entries
+        (:meth:`~repro.core.engine.DataPlaneEngine.peek_tags`).  The
+        sort key of a tag is its wrap-aware offset from the winner's
+        tag, ties to the lower shard index: ``offset * shards + shard``.
+        While every listed tag lies less than half the tag space past
+        the winner's (the window the span guards keep) and each shard's
+        offsets are non-decreasing, that key orders heads exactly as
+        the tournament does, so the sorted keys are the sequence
+        repeated :meth:`pop_min` serves.  Otherwise ``None``: the fence
+        loop, which compares heads as the tournament does, serves.
+        """
+        shards = self.shards
+        occupancy = self._occupancy
+        live = [shard for shard in range(shards) if occupancy[shard]]
+        if len(live) == 1:
+            return live * count
+        space = self.tournament.space
+        winner_tag = self.tournament.winner_tag()
+        keys: List[int] = []
+        for shard in live:
+            tags = self.stores[shard].circuit.peek_tags(
+                min(count, occupancy[shard])
+            )
+            shard_keys = [
+                ((tag - winner_tag) % space) * shards + shard for tag in tags
+            ]
+            if not all(map(le, shard_keys, shard_keys[1:])):
+                return None
+            keys += shard_keys
+        if max(keys) >= (space // 2) * shards:
+            return None
+        keys.sort()
+        return [key % shards for key in keys[:count]]
+
+    def _pop_merged(self, order: List[int]) -> List[Tuple[float, object]]:
+        """Serve a merge plan: one store ``pop_batch`` per touched shard.
+
+        ``order`` names the shard of each served entry, in service
+        order.  Occupancy, per-flow live counts, ``pops`` and the touched
+        shards' tournament leaves are updated once per batch; the
+        tournament replays one leaf per touched shard (DESIGN.md §9).
+        Traced, the plan goes out first as one ``drain_plan`` event whose
+        ``runs`` (``[[shard, count], ...]``) let the order monitor check
+        the per-shard dequeue events in service order.
+        """
+        taken = Counter(order)
+        if self._tracer.enabled:
+            self._tracer.event(
+                "drain_plan",
+                component=FABRIC_COMPONENT,
+                count=len(order),
+                runs=[
+                    [shard, sum(1 for _ in run)]
+                    for shard, run in groupby(order)
+                ],
+            )
+        streams: Dict[int, Iterator] = {}
+        for shard, count in taken.items():
+            streams[shard] = iter(self.stores[shard].pop_batch(count))
+            self._occupancy[shard] -= count
+        # (finish_tag, (flow_id, payload)) per entry, in service order
+        served = list(map(next, map(streams.__getitem__, order)))
+        flow_live = self._flow_live
+        per_flow = Counter([flow_id for _, (flow_id, _) in served])
+        for flow_id, count in per_flow.items():
+            live = flow_live.get(flow_id, 0) - count
+            if live > 0:
+                flow_live[flow_id] = live
+            else:
+                flow_live.pop(flow_id, None)
+        self.pops += len(order)
+        for shard in taken:
+            self._sync_head(shard)
+        return [(finish_tag, payload) for finish_tag, (_, payload) in served]
 
     # ------------------------------------------------------------------
     # dynamic updates (cancel / repin without drain-and-refill)

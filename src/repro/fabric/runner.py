@@ -152,10 +152,11 @@ def run_fabric_soak(
     """Drive a traced fabric soak and return its telemetry.
 
     ``batched=True`` exercises the coalesced paths (grouped per-shard
-    inserts, fence-bounded tournament drains).  ``monitor=True``
-    screens the interleaved multi-store event stream through the
-    per-component invariant monitors (every shard's config is
-    identical, so shard 0's circuit parameterizes the suite).
+    inserts; drains merged across shards with one store call per shard,
+    or fence-bounded tournament runs below the merge crossover).
+    ``monitor=True`` screens the interleaved multi-store event stream
+    through the per-component invariant monitors (every shard's config
+    is identical, so shard 0's circuit parameterizes the suite).
 
     ``checkpoint_path`` splits the soak in half: the fabric is
     snapshotted to that file mid-run, a second fabric is restored from
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batched",
         action="store_true",
-        help="use the coalesced paths (grouped inserts, fenced drains)",
+        help="use the coalesced paths (grouped inserts, merged drains)",
     )
     parser.add_argument(
         "--checkpoint",

@@ -309,24 +309,24 @@ class HardwareTagStore:
 
         Equivalent to ``count`` calls of :meth:`pop_min`, with the
         circuit-side bookkeeping amortized by
-        :meth:`TagSortRetrieveCircuit.dequeue_batch`.
+        :meth:`TagSortRetrieveCircuit.dequeue_batch`.  Service is
+        monotone, so the last served tag alone sets the new service
+        floor: it is derived once per batch, not once per entry.
         """
         served = self.circuit.dequeue_batch(count)
-        space = self.fmt.capacity
-        out: List[Tuple[float, int]] = []
-        for entry in served:
-            finish_tag, flow_id = entry.payload
+        if served:
             base = self._span_floor()
             if base is None:
                 base = 0
-            unwrapped = base + ((entry.tag - base) % space)
+            unwrapped = base + ((served[-1].tag - base) % self._tag_space)
             if (
                 self._last_served_unwrapped is None
                 or unwrapped > self._last_served_unwrapped
             ):
                 self._last_served_unwrapped = unwrapped
-            out.append((finish_tag, flow_id))
-        return out
+        # tuple(): a restored payload is a JSON list; pop_min hands
+        # back a pair either way.
+        return [tuple(entry.payload) for entry in served]
 
     def pop_min(self) -> Tuple[float, int]:
         """Serve the smallest tag; returns the exact (float) tag."""

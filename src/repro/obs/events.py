@@ -30,14 +30,15 @@ SPAN_KIND = "span"
 #: is observed broken (:mod:`repro.obs.monitors`).
 INVARIANT_KIND = "invariant_violation"
 #: Kinds emitted by the sharded scheduling fabric (:mod:`repro.fabric`):
-#: flow-to-shard routing, tournament winner selection, online
-#: rebalancing (plus the backlog migration it triggers), and overflow
-#: spill-to-neighbor.  Shard-local circuit events keep the
-#: :data:`OP_KINDS` above and carry a ``component`` attribute naming
-#: their shard.
+#: flow-to-shard routing, tournament winner selection, the service plan
+#: of a merged batch drain, online rebalancing (plus the backlog
+#: migration it triggers), and overflow spill-to-neighbor.  Shard-local
+#: circuit events keep the :data:`OP_KINDS` above and carry a
+#: ``component`` attribute naming their shard.
 FABRIC_KINDS = (
     "shard_enqueue",
     "tournament_select",
+    "drain_plan",
     "rebalance",
     "shard_migrate",
     "spill",

@@ -676,13 +676,31 @@ class FabricOrderMonitor(_Monitor):
     and no false positives from late low tags: an insert behind the
     global watermark raises each shard's *live set*, which is exactly
     what the check consults.
+
+    A merged batch drain emits one ``drain_plan`` event, then each
+    touched shard's dequeues as one block, so trace order is not
+    service order; the plan's ``runs`` (``[[shard, count], ...]``) are.
+    The monitor holds the batch's dequeues until the last one arrives,
+    then checks them in plan order with the same per-entry rule.  A
+    dequeue the plan does not account for, another op on a shard while
+    a plan is outstanding, and a plan announced before the previous one
+    completed are violations too.
     """
 
     name = "fabric_tournament_order"
 
+    #: shard ops other than a dequeue, which no drain plan includes
+    _OTHER_OPS = ("insert", "insert_dequeue", "remove", "retag")
+
     def __init__(self, config: MonitorConfig) -> None:
         super().__init__(config)
         self._live: Dict[str, Counter] = {}
+        #: the outstanding drain plan: one shard index per planned serve
+        self._plan: Optional[List[int]] = None
+        #: planned dequeues not seen yet, per shard
+        self._due: Counter = Counter()
+        #: the plan's dequeue tags seen so far, per shard, in trace order
+        self._held: Dict[int, List[Any]] = {}
 
     def _precedes(self, a: int, b: int) -> bool:
         if self.config.modular:
@@ -690,19 +708,18 @@ class FabricOrderMonitor(_Monitor):
             return (a - b) % space >= space // 2
         return a < b
 
-    def check(self, event: TraceEvent) -> Optional[str]:
-        if event.kind != "dequeue":
-            return None
-        component = _component(event)
-        shard = _shard_index(component)
-        tag = event.attrs.get("tag")
-        if shard is None or tag is None:
-            return None
+    def _blocker(
+        self, shard: int, tag: int, served: Dict[int, Counter]
+    ) -> Optional[str]:
+        """The per-entry rule, with ``served`` taken off the live sets."""
         for other, live in self._live.items():
             other_shard = _shard_index(other)
             if other_shard is None or other_shard == shard:
                 continue
+            gone = served.get(other_shard)
             for value, count in live.items():
+                if gone:
+                    count -= gone[value]
                 if count <= 0:
                     continue
                 if self._precedes(value, tag) or (
@@ -715,10 +732,122 @@ class FabricOrderMonitor(_Monitor):
                     )
         return None
 
+    def _in_plan_order(self, last=None):
+        """``(position, shard, tag)`` of the held dequeues, plan order.
+
+        ``last`` is a ``(shard, tag)`` dequeue to count as held too.
+        """
+        held = self._held
+        if last is not None:
+            held = dict(held)
+            held[last[0]] = held.get(last[0], []) + [last[1]]
+        cursor: Counter = Counter()
+        for position, shard in enumerate(self._plan):
+            tags = held.get(shard, ())
+            if cursor[shard] < len(tags):
+                yield position, shard, tags[cursor[shard]]
+                cursor[shard] += 1
+
+    def _replay(self, last) -> Optional[str]:
+        """The per-entry rule over the held serves, in plan order."""
+        served: Dict[int, Counter] = {}
+        for position, shard, tag in self._in_plan_order(last):
+            if tag is None:
+                continue
+            message = self._blocker(shard, tag, served)
+            if message is not None:
+                return (
+                    f"{message} (serve {position + 1} of a "
+                    f"{len(self._plan)}-entry drain plan)"
+                )
+            served.setdefault(shard, Counter())[tag] += 1
+        return None
+
+    def check(self, event: TraceEvent) -> Optional[str]:
+        kind = event.kind
+        pending = sum(self._due.values())
+        if kind == "drain_plan":
+            if self._plan is not None:
+                return (
+                    f"drain plan announced while the previous plan still "
+                    f"awaits {pending} dequeue(s)"
+                )
+            return None
+        shard = _shard_index(_component(event))
+        if shard is None:
+            return None
+        tag = event.attrs.get("tag")
+        if self._plan is not None:
+            if kind in self._OTHER_OPS:
+                return (
+                    f"{kind} on shard{shard} while a drain plan awaits "
+                    f"{pending} dequeue(s)"
+                )
+            if kind != "dequeue":
+                return None
+            if not self._due[shard]:
+                return (
+                    f"shard{shard} served tag {tag}, a dequeue the drain "
+                    f"plan does not account for"
+                )
+            if pending > 1:
+                return None
+            return self._replay(last=(shard, tag))
+        if kind != "dequeue" or tag is None:
+            return None
+        return self._blocker(shard, tag, {})
+
     def update(self, event: TraceEvent) -> None:
-        component = _component(event)
-        if _shard_index(component) is None:
+        kind = event.kind
+        if kind == "drain_plan":
+            self._settle()
+            plan = [
+                int(shard)
+                for shard, count in event.attrs.get("runs") or ()
+                for _ in range(int(count))
+            ]
+            if plan:
+                self._plan = plan
+                self._due = Counter(plan)
             return
+        component = _component(event)
+        shard = _shard_index(component)
+        if shard is None:
+            return
+        if self._plan is not None:
+            if kind == "dequeue" and self._due[shard]:
+                self._held.setdefault(shard, []).append(event.attrs.get("tag"))
+                self._due[shard] -= 1
+                if not any(self._due.values()):
+                    self._settle()
+                return
+            if kind in self._OTHER_OPS:
+                self._settle()
+        self._absorb(component, event)
+
+    def on_violation(self, event: TraceEvent) -> None:
+        # A lone offending serve stays in its live set, as it always
+        # has; anything else, a planned batch included, is absorbed.
+        if event.kind == "dequeue" and self._plan is None:
+            return
+        self.update(event)
+
+    def _settle(self) -> None:
+        """Absorb the held dequeues and drop the plan."""
+        if self._plan is None:
+            return
+        for _, shard, tag in self._in_plan_order():
+            if tag is None:
+                continue
+            live = self._live.setdefault(_SHARD_PREFIX + str(shard), Counter())
+            live[tag] -= 1
+            if live[tag] <= 0:
+                del live[tag]
+        self._plan = None
+        self._due = Counter()
+        self._held = {}
+
+    def _absorb(self, component: str, event: TraceEvent) -> None:
         live = self._live.get(component)
         if live is None:
             live = self._live[component] = Counter()

@@ -60,6 +60,9 @@ from .protocol import (
 #: must be frozen up front from the lightest *admissible* weight)
 GRANULARITY_HEADROOM = 128
 MAX_PACKET_BYTES = 1500
+#: largest packet an ``enqueue`` accepts (bytes); the paced drain sizes
+#: its calls by it
+MAX_WIRE_PACKET_BYTES = 65535
 #: longest request line the server reads (bytes, newline excluded) —
 #: asyncio's default stream limit, passed explicitly so the error
 #: response can name it
@@ -285,13 +288,6 @@ class ServeEngine:
         self.handle_tokens[handle] = token
         return token
 
-    def _retire_packet(self, packet_id: int) -> None:
-        token = self.packet_tokens.pop(packet_id, None)
-        if token is not None:
-            handle = self.token_handles.pop(token, None)
-            if handle is not None:
-                self.handle_tokens.pop(handle, None)
-
     # ------------------------------------------------------------------
     # the drain path (shared by the verb and the paced loop)
 
@@ -301,21 +297,34 @@ class ServeEngine:
         if available <= 0:
             return []
         packets = self.system.select_batch(available, self.vnow)
+        # A served packet retires its wire token, and with it the
+        # fabric handle the token maps to.
+        packet_tokens = self.packet_tokens
+        token_handles = self.token_handles
+        handle_tokens = self.handle_tokens
+        session_of = self.sessions.session
+        seq = self.served_seq
         records = []
         for packet in packets:
-            self._retire_packet(packet.packet_id)
-            session = self.sessions.session(packet.flow_id)
+            token = packet_tokens.pop(packet.packet_id, None)
+            if token is not None:
+                handle = token_handles.pop(token, None)
+                if handle is not None:
+                    handle_tokens.pop(handle, None)
+            flow_id = packet.flow_id
+            session = session_of(flow_id)
             if session is not None:
                 session.served += 1
             records.append(
                 {
-                    "seq": self.served_seq,
-                    "flow": packet.flow_id,
+                    "seq": seq,
+                    "flow": flow_id,
                     "tag": packet.finish_tag,
                     "size": packet.size_bytes,
                 }
             )
-            self.served_seq += 1
+            seq += 1
+        self.served_seq = seq
         self.counters["served"] += len(records)
         self._log_served(records)
         return records
@@ -382,9 +391,11 @@ class ServeEngine:
     def _op_enqueue(self, request: Dict[str, Any]) -> Dict[str, Any]:
         flow = request["flow"]
         size = request["size"]
-        if size < 1 or size > 65535:
+        if size < 1 or size > MAX_WIRE_PACKET_BYTES:
             return error_response(
-                request, f"packet size {size} outside [1, 65535] bytes"
+                request,
+                f"packet size {size} outside "
+                f"[1, {MAX_WIRE_PACKET_BYTES}] bytes",
             )
         session = self.sessions.session(flow)
         if session is None:
@@ -682,11 +693,17 @@ class WfqServer:
         """Serve the schedule at ``pace_multiplier ×`` line rate.
 
         A token-bucket pacer against the wall clock: every tick it
-        serves however many packets the elapsed time's bit budget
-        covers.  Pacing affects only *when* packets pop, never in what
-        order — the schedule itself is wall-clock free.
+        serves what the elapsed time's bit budget covers.  Each drain
+        call takes as many packets as the remaining budget pays for at
+        the largest size an enqueue accepts (at least one), so a tick
+        overdraws by at most one packet, and the overdraw is carried
+        into the next tick as debt.  An idle schedule banks at most one
+        tick of budget.  Pacing affects only *when* packets pop, never
+        in what order — the schedule itself is wall-clock free.
         """
         rate = self.config.link_rate_bps * self.config.pace_multiplier
+        max_packet_bits = MAX_WIRE_PACKET_BYTES * 8
+        store = self.engine.system.store
         budget_bits = 0.0
         last = time.monotonic()
         while not self._stopping:
@@ -694,17 +711,11 @@ class WfqServer:
             now = time.monotonic()
             budget_bits += (now - last) * rate
             last = now
-            served_bits = 0.0
-            while (
-                len(self.engine.system.store)
-                and served_bits < budget_bits
-            ):
-                for record in self.engine.drain(256):
-                    served_bits += record["size"] * 8
-                if not len(self.engine.system.store):
-                    break
-            budget_bits = max(0.0, budget_bits - served_bits)
-            if not len(self.engine.system.store):
+            while budget_bits > 0 and len(store):
+                count = max(1, int(budget_bits // max_packet_bits))
+                for record in self.engine.drain(count):
+                    budget_bits -= record["size"] * 8
+            if not len(store):
                 budget_bits = min(budget_bits, rate * 0.005)
 
     # ------------------------------------------------------------------

@@ -475,6 +475,45 @@ class TestAsyncioServer:
         message = asyncio.run(overrun())
         assert ("not found" in message) is not newline_arrived
 
+    def test_paced_drain_keeps_to_its_rate(self):
+        """A pre-filled paced engine drains no faster than its line rate.
+
+        Each tick may overdraw by one packet, carried as debt, so Q
+        queued bits at rate R take at least (Q - one packet) / R.  A
+        lower bound only: a slow host makes the drain take longer.
+        """
+        rate = 2e6
+        engine = ServeEngine(
+            small_config(
+                link_rate_bps=rate, min_rate_bps=5e5, drain_mode="paced"
+            )
+        )
+        for flow in (1, 2):
+            assert engine.handle_request(
+                {"op": "open", "tenant": "acme", "flow": flow,
+                 "rate_bps": 9e5}
+            )["ok"]
+        packets, size = 64, 1500
+        for index in range(packets):
+            assert engine.handle_request(
+                {"op": "enqueue", "flow": 1 + index % 2, "size": size}
+            )["ok"]
+        server = WfqServer(engine)
+
+        async def paced_drain_seconds():
+            pacer = asyncio.ensure_future(server._paced_drain())
+            start = time.monotonic()
+            while len(engine.system.store):
+                await asyncio.sleep(0.002)
+            elapsed = time.monotonic() - start
+            server.request_shutdown()
+            await pacer
+            return elapsed
+
+        elapsed = asyncio.run(paced_drain_seconds())
+        assert engine.counters["served"] == packets
+        assert elapsed >= (packets - 1) * size * 8 / rate
+
     def test_paced_drain_serves_without_client_drains(self, tmp_path):
         config = small_config(
             drain_mode="paced",
