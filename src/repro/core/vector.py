@@ -207,6 +207,8 @@ class VectorSortRetrieveCircuit:
         self._free_top = 0
         self._counter_next = 0  # Fig. 10 init counter (addresses issued)
         self._occ = np.zeros((capacity + 63) // 64, dtype=np.uint64)
+        #: the 64 single-bit words of ``_occ``, built once
+        self._occ_bits = [np.uint64(1 << bit) for bit in range(64)]
         self._head_tag: Optional[int] = None
         self._count = 0
 
@@ -449,20 +451,6 @@ class VectorSortRetrieveCircuit:
             )
         self._head_tag = head
 
-    def _alloc(self) -> int:
-        """One Fig. 10 allocation: init counter first, then LIFO pop."""
-        if self._counter_next < self.capacity:
-            address = self._counter_next
-            self._counter_next = address + 1
-            return address
-        top = self._free_top
-        if top == 0:
-            raise ProtocolError(
-                "counter exhausted and free stack empty, but count < capacity"
-            )
-        self._free_top = top - 1
-        return int(self._free_stack[top - 1])
-
     def _release(self, address: int) -> None:
         """Thread a departed slot back onto the free stack (LIFO)."""
         self._free_stack[self._free_top] = address
@@ -470,7 +458,7 @@ class VectorSortRetrieveCircuit:
         self._occ[address >> 6] &= ~self._xp.uint64(1 << (address & 63))
 
     def _occupy(self, address: int) -> None:
-        self._occ[address >> 6] |= self._xp.uint64(1 << (address & 63))
+        self._occ[address >> 6] |= self._occ_bits[address & 63]
 
     def _is_live(self, address: int) -> bool:
         return bool((int(self._occ[address >> 6]) >> (address & 63)) & 1)
@@ -542,15 +530,29 @@ class VectorSortRetrieveCircuit:
         self.operations += 1
 
     def insert(self, tag: int, payload: Any = None) -> int:
-        """Sort ``tag`` into the circuit; returns its storage address."""
-        self.fmt.check_value(tag)
-        if not self.eager_marker_removal:
-            self._check_monotone(tag)
-        if self._count >= self.capacity:
+        """Sort ``tag`` into the circuit; returns its storage address.
+
+        One pass: the value check, the monotone window and the capacity
+        check all run before anything is written, then the Fig. 10
+        allocation, the bucket append, the leaf marker and the modeled
+        accounting follow inline.  A check that fails hands over to its
+        helper for the exact error.
+        """
+        if not isinstance(tag, int) or not 0 <= tag < self._tag_space:
+            self.fmt.check_value(tag)
+        head = self._head_tag
+        if head is not None and not self.eager_marker_removal:
+            if self.modular:
+                if (tag - head) % self._tag_space >= self._half_space:
+                    self._check_monotone(tag)
+            elif tag < head:
+                self._check_monotone(tag)
+        count = self._count
+        if count >= self.capacity:
             raise CapacityError(
                 f"tag storage full ({self.capacity} links in use)"
             )
-        was_empty = self._count == 0
+        was_empty = count == 0
         if (
             was_empty
             and not self.eager_marker_removal
@@ -559,29 +561,67 @@ class VectorSortRetrieveCircuit:
             # Initialization mode (Section III-A): wipe stale markers
             # left by the busy period that just drained.
             self._clear_tree()
-        address = self._alloc()
-        self._append_entry(tag, address, payload)
-        new_marker = self._set_leaf_marker(tag)
+        # Fig. 10 allocation: init counter first, then LIFO pop.
+        address = self._counter_next
+        if address < self.capacity:
+            self._counter_next = address + 1
+        else:
+            top = self._free_top
+            if top == 0:
+                raise ProtocolError(
+                    "counter exhausted and free stack empty, but count < "
+                    "capacity"
+                )
+            self._free_top = top - 1
+            address = int(self._free_stack[top - 1])
+        # Append to the tag's bucket FIFO and mark the slot live.
+        bucket_tail = self._bucket_tail
+        tail = int(bucket_tail[tag])
+        if tail < 0:
+            self._bucket_head[tag] = address
+        else:
+            self._entry_next[tail] = address
+        bucket_tail[tag] = address
+        self._bucket_count[tag] += 1
+        self._entry_next[address] = -1
+        self._entry_tag[address] = tag
+        if payload is not None:
+            self._payload[address] = payload
+            self._payload_live += 1
+        self._occ[address >> 6] |= self._occ_bits[address & 63]
+        # The leaf marker (upper levels rebuild lazily).
+        leaf = self._leaf
+        word_index = tag >> self._literal_bits
+        word = int(leaf[word_index])
+        bit = 1 << (tag & (self._branching - 1))
+        new_marker = not word & bit
+        if new_marker:
+            leaf[word_index] = word | bit
+            self._tree_count += 1
+            self._upper_dirty = True
         self._trans[tag] = address
-        self._count += 1
-        if self._head_tag is None or (
-            not self.modular and tag < self._head_tag
-        ):
+        self._count = count + 1
+        if head is None or (not self.modular and tag < head):
             self._head_tag = tag
         # Modeled accounting: within the gate insert's 2R+2W storage
         # window, one translation lookup+record, one node read per
         # level (+ a write where the marker is new).
         storage = self._stats_storage
+        translation = self._stats_translation
         if was_empty:
             storage.writes += 1
-            self._stats_translation.writes += 1
+            translation.writes += 1
         else:
             storage.reads += 2
             storage.writes += 2
-            self._stats_translation.reads += 1
-            self._stats_translation.writes += 1
-        self._charge_tree(reads=1, writes=1 if new_marker else 0)
-        self._spend_operation()
+            translation.reads += 1
+            translation.writes += 1
+        for stats in self._stats_tree:
+            stats.reads += 1
+            if new_marker:
+                stats.writes += 1
+        self.cycles += FIXED_OP_CYCLES
+        self.operations += 1
         return address
 
     def _append_entry(self, tag: int, address: int, payload: Any) -> None:

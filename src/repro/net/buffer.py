@@ -98,11 +98,19 @@ class SharedPacketBuffer:
         an accepted store fuses that check into its write), so the
         access registry still accounts for every ingress decision.
         """
-        if self.is_full:
+        free = self._free
+        if not free:
             self.drop_count += 1
             self.stats.record_read()
             return None
-        return self.store(packet)
+        # The same bookkeeping as store(): one write, the peak kept.
+        pointer = free.pop()
+        self._slots[pointer] = packet
+        self.stats.writes += 1
+        occupancy = self.capacity - len(free)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
+        return pointer
 
     def fetch(self, pointer: int) -> Packet:
         """Redeem a pointer: remove and return the packet."""

@@ -120,19 +120,24 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         address, and works with the inherited :meth:`cancel` and the
         fabric-aware :meth:`reschedule` until the packet is served.
         """
-        tags = self.clock.on_arrival(packet.flow_id, packet.size_bits, now)
-        packet.start_tag = tags.start_tag
-        packet.finish_tag = tags.finish_tag
+        flow_id = packet.flow_id
+        start_tag, finish_tag = self.clock.on_arrival(
+            flow_id, packet.size_bytes * 8, now
+        )
+        packet.start_tag = start_tag
+        packet.finish_tag = finish_tag
         pointer = self.buffer.try_store(packet)
         if pointer is None:
             self.dropped += 1
             return None
         try:
-            return self.store.push(tags.finish_tag, packet.flow_id, pointer)
+            return self.store.push(finish_tag, flow_id, pointer)
         except ProtocolError:
             # Span-guard refusal: release the slot, keep the buffer's
-            # occupancy accounting exact (no orphaned packets).
+            # occupancy accounting exact (no orphaned packets), and take
+            # the arrival back so the flow keeps its service position.
             self.buffer.fetch(pointer)
+            self.clock.undo_arrival()
             raise
 
     # cancel() is inherited: ScheduleFabric.remove matches the store

@@ -102,17 +102,6 @@ class HardwareTagStore:
             return self._last_served_unwrapped
         return self._min_inserted_unwrapped
 
-    def _guard_span(self, unwrapped: int) -> None:
-        floor = self._span_floor()
-        if floor is None:
-            return
-        if unwrapped - floor >= self._half_space:
-            raise ProtocolError(
-                f"live tag span {unwrapped - floor} quanta exceeds half the "
-                f"{self._tag_space}-value tag space; increase granularity "
-                f"(currently {self.granularity}) or widen the word format"
-            )
-
     def _prepare_sections(self, unwrapped: int) -> None:
         """Advance the clear frontier to the target unwrapped section.
 
@@ -166,46 +155,64 @@ class HardwareTagStore:
         stale markers unreachable (they are all at or below the last
         served value).
         """
-        if self.circuit.storage._count == 0:  # len(self), minus two hops
+        circuit = self.circuit
+        storage = circuit.storage
+        if storage._count == 0:  # len(self), minus two hops
             # The scheduler drained: the circuit re-enters initialization
             # mode (stale markers flush), so lap/frontier bookkeeping
-            # restarts as a fresh epoch.
+            # restarts as a fresh epoch, with no span floor and no live
+            # minimum to clamp to.
             self._frontier = None
             self._last_served_unwrapped = None
             self._min_inserted_unwrapped = None
+            floor = minimum = None
+        else:
+            floor = self._last_served_unwrapped  # _span_floor()
+            if floor is None:
+                floor = self._min_inserted_unwrapped
+            minimum = storage._head_tag  # peek_min register
         unwrapped = int(finish_tag / self.granularity)  # quantize()
-        # The span guard must precede the behind-minimum test: a raw
-        # value more than half the space *ahead* is indistinguishable
-        # from one behind under serial-number comparison, and only the
-        # unwrapped value can tell the two apart.
-        self._guard_span(unwrapped)
         raw = unwrapped % self._tag_space
-        floor = self._span_floor()
-        regressed = floor is not None and unwrapped < floor
+        regressed = False
+        if floor is not None:
+            # The span guard must precede the behind-minimum test: a raw
+            # value more than half the space *ahead* is indistinguishable
+            # from one behind under serial-number comparison, and only
+            # the unwrapped value can tell the two apart.
+            if unwrapped - floor >= self._half_space:
+                raise ProtocolError(
+                    f"live tag span {unwrapped - floor} quanta exceeds half "
+                    f"the {self._tag_space}-value tag space; increase "
+                    f"granularity (currently {self.granularity}) or widen "
+                    f"the word format"
+                )
+            regressed = unwrapped < floor
         # A regression bigger than half the space aliases as "forward"
         # under raw serial-number comparison, so the unwrapped check must
         # come first; the raw check then covers within-window reordering.
-        if regressed or self._is_behind_minimum(raw):
-            raw = self.circuit.peek_min()
-            floor = self._span_floor()
-            quanta = max(0, floor - unwrapped) if floor is not None else 0
+        if regressed or (
+            minimum is not None
+            and (raw - minimum) % self._tag_space >= self._half_space
+        ):
+            # Clamp to the live minimum's quantum.
+            quanta = floor - unwrapped if regressed else 0
             self.clamp_error_quanta += quanta
             self.clamped_inserts += 1
-            tracer = self.circuit.tracer
+            tracer = circuit.tracer
             if tracer.enabled:
                 # The clamp is the store's backup path: the tag could
                 # not be inserted where WFQ wanted it.
                 tracer.event(
-                    "clamp", unwrapped=unwrapped, raw=raw, quanta=quanta
+                    "clamp", unwrapped=unwrapped, raw=minimum, quanta=quanta
                 )
-            return self.circuit.insert(raw, payload=(finish_tag, flow_id))
-        self._prepare_sections(unwrapped)
-        if (
-            self._min_inserted_unwrapped is None
-            or unwrapped < self._min_inserted_unwrapped
-        ):
+            return circuit.insert(minimum, payload=(finish_tag, flow_id))
+        frontier = self._frontier
+        if frontier is None or frontier < unwrapped // self._section_span:
+            self._prepare_sections(unwrapped)
+        min_inserted = self._min_inserted_unwrapped
+        if min_inserted is None or unwrapped < min_inserted:
             self._min_inserted_unwrapped = unwrapped
-        return self.circuit.insert(raw, payload=(finish_tag, flow_id))
+        return circuit.insert(raw, payload=(finish_tag, flow_id))
 
     def push_batch(self, items: List[Tuple[float, int]]) -> None:
         """Quantize and insert a run of ``(finish_tag, payload)`` pairs.

@@ -191,8 +191,11 @@ class HardwareWFQSystem(PacketScheduler):
             return self.store.push(tags.finish_tag, pointer)
         except ProtocolError:
             # The circuit refused the tag (span guard): release the
-            # buffer slot so a rejected admission cannot leak storage.
+            # buffer slot so a rejected admission cannot leak storage,
+            # and take the arrival back so the flow keeps its service
+            # position.
             self.buffer.fetch(pointer)
+            self.clock.undo_arrival()
             raise
 
     def select_next(self, now: float) -> Optional[Packet]:

@@ -18,15 +18,13 @@ WF2Q and the hardware tag-computation circuit of ref. [8] all consume it.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..hwsim.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class TaggedArrival:
+class TaggedArrival(NamedTuple):
     """The (start, finish) virtual tags computed for one packet."""
 
     start_tag: float
@@ -50,6 +48,9 @@ class VirtualClock:
         self._gps_heap: List[Tuple[float, int]] = []
         self._outstanding: Dict[int, int] = {}
         self._busy_weight = 0.0
+        #: what the last :meth:`on_arrival` changed, for
+        #: :meth:`undo_arrival`; cleared by every other time advance
+        self._last_arrival: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # session management
@@ -103,23 +104,25 @@ class VirtualClock:
 
     def _prune_heap(self) -> None:
         while self._gps_heap and self._outstanding.get(self._gps_heap[0][1], 0) == 0:
-            heapq.heappop(self._gps_heap)
+            heappop(self._gps_heap)
 
     def advance_to(self, t: float) -> None:
         """Advance real time to ``t``, processing GPS departures en route."""
-        if t < self._now - 1e-12:
-            raise ConfigurationError(
-                f"time moved backwards: {t} < {self._now}"
-            )
-        while True:
-            self._prune_heap()
-            if not self._gps_heap:
-                # GPS idle: V holds its value while no session is busy.
-                self._now = max(self._now, t)
-                return
-            finish_tag, session = self._gps_heap[0]
+        now = self._now
+        if t < now - 1e-12:
+            raise ConfigurationError(f"time moved backwards: {t} < {now}")
+        self._last_arrival = None
+        heap = self._gps_heap
+        outstanding = self._outstanding
+        while heap:
+            finish_tag, session = heap[0]
+            count = outstanding.get(session, 0)
+            if count == 0:
+                # No outstanding work behind this entry: prune it.
+                heappop(heap)
+                continue
             departure = (
-                self._now
+                now
                 + (finish_tag - self._virtual)
                 * self._busy_weight
                 / self.rate_bps
@@ -127,17 +130,22 @@ class VirtualClock:
             if departure > t + 1e-15:
                 break
             # Jump to the departure instant: V reaches the finish tag.
-            self._now = departure
+            now = departure
             self._virtual = finish_tag
-            heapq.heappop(self._gps_heap)
-            self._outstanding[session] -= 1
-            if self._outstanding[session] == 0:
-                self._busy_weight -= self._weights.get(session, 1.0)
-                if self._busy_weight < 1e-12:
-                    self._busy_weight = 0.0
+            heappop(heap)
+            outstanding[session] = count - 1
+            if count == 1:
+                busy_weight = self._busy_weight - self._weights.get(
+                    session, 1.0
+                )
+                self._busy_weight = 0.0 if busy_weight < 1e-12 else busy_weight
+        else:
+            # GPS idle: V holds its value while no session is busy.
+            self._now = max(now, t)
+            return
         # Linear segment to t within the current busy set.
         if self._busy_weight > 0:
-            self._virtual += (t - self._now) * self.rate_bps / self._busy_weight
+            self._virtual += (t - now) * self.rate_bps / self._busy_weight
         self._now = t
 
     # ------------------------------------------------------------------
@@ -162,16 +170,55 @@ class VirtualClock:
             raise ConfigurationError("packet size must be positive")
         self.advance_to(arrival_time)
         weight = self._weights.get(session, 1.0)
-        previous = self._last_finish.get(session, 0.0)
-        start = max(self._virtual, previous)
+        previous = self._last_finish.get(session)
+        start = max(self._virtual, 0.0 if previous is None else previous)
         finish = start + size_bits / weight
         self._last_finish[session] = finish
         # Track GPS busyness.
-        if self._outstanding.get(session, 0) == 0:
-            self._busy_weight += weight
-        self._outstanding[session] = self._outstanding.get(session, 0) + 1
-        heapq.heappush(self._gps_heap, (finish, session))
-        return TaggedArrival(start_tag=start, finish_tag=finish)
+        busy_weight = self._busy_weight
+        count = self._outstanding.get(session)
+        if not count:
+            self._busy_weight = busy_weight + weight
+        self._outstanding[session] = (count or 0) + 1
+        entry = (finish, session)
+        heappush(self._gps_heap, entry)
+        self._last_arrival = (session, previous, count, busy_weight, entry)
+        return TaggedArrival(start, finish)
+
+    def undo_arrival(self) -> None:
+        """Take back the last :meth:`on_arrival`, exactly.
+
+        The clock returns to the state :meth:`advance_to` alone would
+        have left: the session's last finish tag, its outstanding count,
+        the busy weight and the GPS heap array are what they were before
+        the arrival was tagged.  A scheduler calls this when the packet
+        it tagged is refused downstream, so a refused packet costs its
+        flow no service position.  Only the most recent arrival can be
+        taken back, and only before the clock advances again.
+        """
+        if self._last_arrival is None:
+            raise ConfigurationError("no arrival to undo")
+        session, previous, count, busy_weight, entry = self._last_arrival
+        self._last_arrival = None
+        if previous is None:
+            del self._last_finish[session]
+        else:
+            self._last_finish[session] = previous
+        if count is None:
+            del self._outstanding[session]
+        else:
+            self._outstanding[session] = count
+        self._busy_weight = busy_weight
+        # heappush appended the entry and sifted it up its ancestor
+        # chain, moving each ancestor it passed one level down; move
+        # them back up and drop the appended slot.
+        heap = self._gps_heap
+        path = [len(heap) - 1]
+        while heap[path[-1]] is not entry:
+            path.append((path[-1] - 1) >> 1)
+        for step in range(len(path) - 1, 0, -1):
+            heap[path[step]] = heap[path[step - 1]]
+        heap.pop()
 
     def reset(self) -> None:
         """Return to the initial idle state (weights are kept)."""
@@ -181,6 +228,7 @@ class VirtualClock:
         self._outstanding.clear()
         self._busy_weight = 0.0
         self._last_finish.clear()
+        self._last_arrival = None
 
     # ------------------------------------------------------------------
     # checkpoint / restore (service-plane snapshots)
@@ -234,3 +282,4 @@ class VirtualClock:
         self._gps_heap = [
             (tag, int(session)) for tag, session in state["gps_heap"]
         ]
+        self._last_arrival = None

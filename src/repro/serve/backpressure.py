@@ -103,8 +103,7 @@ class BackpressureController:
     # ------------------------------------------------------------------
 
     def _should_mark(self, flow_id: int) -> bool:
-        if self.scheme == "shared":
-            return self.buffer.occupancy >= self.mark_threshold
+        """The per-flow schemes' verdict (``shared`` is judged inline)."""
         backlog = self._flow_backlog(flow_id)
         if self.scheme == "per_queue":
             return backlog >= self.per_queue_mark
@@ -118,17 +117,21 @@ class BackpressureController:
 
     def decide(self, flow_id: int) -> BackpressureDecision:
         """Judge one arriving enqueue *before* it touches the buffer."""
-        if self.buffer.occupancy >= self.reject_threshold:
+        occupancy = self.buffer.occupancy
+        if occupancy >= self.reject_threshold:
             self.rejected += 1
             return BackpressureDecision(
                 accept=False,
                 reason=(
-                    f"backpressure: buffer at {self.buffer.occupancy}/"
+                    f"backpressure: buffer at {occupancy}/"
                     f"{self.buffer.capacity} exceeds the reject "
                     f"threshold {self.reject_threshold}"
                 ),
             )
-        marked = self._should_mark(flow_id)
+        if self.scheme == "shared":
+            marked = occupancy >= self.mark_threshold
+        else:
+            marked = self._should_mark(flow_id)
         self.accepted += 1
         if marked:
             self.marked += 1

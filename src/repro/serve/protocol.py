@@ -133,6 +133,10 @@ def validate_request(message: Dict[str, Any]) -> Optional[str]:
             return f"{op}: missing required field {name!r}"
         if not check(message[name]):
             return f"{op}: field {name!r} has an invalid value"
+    # Only ``op``, an ``id`` and the required fields: no key is left to
+    # be unknown or optional.
+    if len(message) == len(required) + 1 + ("id" in message):
+        return None
     for name, value in message.items():
         if name in ("op", "id"):
             continue

@@ -281,13 +281,6 @@ class ServeEngine:
             self.handle_tokens[new] = token
             self.token_handles[token] = new
 
-    def _issue_token(self, handle: int) -> int:
-        token = self.next_token
-        self.next_token += 1
-        self.token_handles[token] = handle
-        self.handle_tokens[handle] = token
-        return token
-
     # ------------------------------------------------------------------
     # the drain path (shared by the verb and the paced loop)
 
@@ -406,28 +399,37 @@ class ServeEngine:
         if not decision.accept:
             self.counters["backpressure_rejected"] += 1
             return error_response(request, decision.reason, ecn=True)
-        packet = Packet(
-            flow_id=flow, size_bytes=size, arrival_time=self.vnow
-        )
+        vnow = self.vnow
+        packet = Packet(flow, size, vnow)  # positional: no kwargs parse
         try:
-            handle = self.system.enqueue(packet, self.vnow)
+            handle = self.system.enqueue(packet, vnow)
         except ProtocolError as exc:
             # Span-guard refusal: the flow is holding more than its
             # weight's burst allowance of the tag space.  The slot was
-            # released; tell the client to back off.
+            # released and the clock took the arrival back; tell the
+            # client to back off.
             return error_response(
                 request, f"tag space exhausted for flow {flow}: {exc}"
             )
-        self.vnow += packet.size_bits / self.config.link_rate_bps
+        self.vnow = vnow + size * 8 / self.config.link_rate_bps
         if handle is None:  # pragma: no cover - reject threshold gates this
             return error_response(request, "shared packet buffer is full")
-        token = self._issue_token(handle)
+        token = self.next_token
+        self.next_token = token + 1
+        self.token_handles[token] = handle
+        self.handle_tokens[handle] = token
         self.packet_tokens[packet.packet_id] = token
         session.enqueued += 1
         self.counters["enqueued"] += 1
-        return ok_response(
-            request, handle=token, tag=packet.finish_tag, ecn=decision.mark
-        )
+        response = {
+            "ok": True,
+            "handle": token,
+            "tag": packet.finish_tag,
+            "ecn": decision.mark,
+        }
+        if "id" in request:
+            response["id"] = request["id"]
+        return response
 
     def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
         token = request["handle"]

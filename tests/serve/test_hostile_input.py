@@ -140,11 +140,26 @@ class TestOverTcp:
             b'{"op":"enqueue","flow":-7,"size":100}',
             DEEP_LINE,
             HUGE_INT_LINE,
+            # invalid UTF-8 in mid-line: a stray byte, a cut-off sequence
+            b'{"op":"st\xffats"}',
+            b'{"op":"stats","id":"\xc3"}',
+            # NUL before and after the object, and a UTF-8 BOM
+            b'\x00{"op":"stats"}',
+            b'{"op":"stats"}\x00',
+            b'\xef\xbb\xbf{"op":"stats"}',
         ]
         for line in hostile:
             sock.sendall(line + b"\n")
             response = json.loads(reader.readline())
             assert response["ok"] is False, (line[:40], response)
+        # One request written in four pieces gets exactly one answer.
+        for piece in (b'{"op":"he', b'llo"', b',"id":', b'7}\n'):
+            sock.sendall(piece)
+            time.sleep(0.05)
+        answer = json.loads(reader.readline())
+        assert answer["ok"] and answer["id"] == 7, answer
+        sock.sendall(b'{"op":"hello","id":8}\n')
+        assert json.loads(reader.readline())["id"] == 8
         sock.sendall(b'{"op":"cancel","handle":%d}\n' % token)
         assert json.loads(reader.readline())["ok"]
         sock.sendall(b'{"op":"open","tenant":"t","flow":9,"rate_bps":2e6}\n')
