@@ -84,7 +84,6 @@ def test_smoke_preset_structure(report):
     for metric in ("accesses_per_op", "cycles_per_op"):
         assert turbo["turbo_per_op"][metric] == turbo["gate_per_op"][metric]
         assert turbo["turbo_batched"][metric] == turbo["gate_batched"][metric]
-    assert turbo["head_cache_hits"] >= 0
     assert document["mode"] == "gate"
     machine = document["machine"]
     assert machine["python"] and machine["platform"]

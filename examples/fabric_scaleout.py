@@ -34,11 +34,11 @@ def drive(target, ops):
 def shard_sweep() -> None:
     print("— Shard sweep: modeled speedup over one circuit —")
     ops = make_flow_ops(6_000, seed=20060101, flows=256)
-    single = HardwareTagStore(granularity=8.0, fast_mode=True)
+    single = HardwareTagStore(granularity=8.0)
     drive(single, ops)
     print(f"  1 circuit serves the soak in {single.cycles} cycles")
     for shards in (1, 4, 16):
-        fabric = ScheduleFabric(shards=shards, granularity=8.0, fast_mode=True)
+        fabric = ScheduleFabric(shards=shards, granularity=8.0)
         drive(fabric, ops)
         speedup = single.cycles / fabric.cycles
         cmp_per_op = fabric.tournament.comparisons / max(1, fabric.pops)

@@ -10,7 +10,7 @@ Three scenario families, all deterministic per seed:
   :meth:`~repro.core.sort_retrieve.TagSortRetrieveCircuit.dequeue_batch`;
 * the **headline mixed soak** — 100k bursty push/pop operations through
   :class:`~repro.net.hardware_store.HardwareTagStore` (paper word
-  format, default matcher), per-op versus the batched fast-mode path,
+  format, default matcher), per-op versus the batched path,
   with the served sequences compared element-wise before any timing is
   trusted;
 * the **fabric scale-out phase** — the flow-attributed mixed workload
@@ -555,9 +555,7 @@ def _bench_headline(count: int, seed: int, mode: str = "gate") -> Dict:
         drive = _drive_batched if batched else _drive_per_op
         best = None
         for _ in range(BENCH_REPEATS):
-            store = HardwareTagStore(
-                granularity=granularity, fast_mode=batched, mode=mode
-            )
+            store = HardwareTagStore(granularity=granularity, mode=mode)
             seconds, served = _timed(lambda: drive(store, ops))
             if best is None or seconds < best[0]:
                 best = (seconds, served, store)
@@ -630,9 +628,7 @@ def _bench_fabric(
 
     best = None
     for _ in range(BENCH_REPEATS):
-        store = HardwareTagStore(
-            granularity=granularity, fast_mode=True, mode=mode
-        )
+        store = HardwareTagStore(granularity=granularity, mode=mode)
         seconds, served_single = _timed(lambda: _drive_batched(store, ops))
         if best is None or seconds < best[0]:
             best = (seconds, served_single, store)
@@ -653,8 +649,7 @@ def _bench_fabric(
         best = None
         for _ in range(BENCH_REPEATS):
             fabric = ScheduleFabric(
-                shards=shards, granularity=granularity, fast_mode=True,
-                mode=mode,
+                shards=shards, granularity=granularity, mode=mode
             )
             seconds, served = _timed(lambda: _drive_batched(fabric, ops))
             if best is None or seconds < best[0]:
@@ -760,15 +755,11 @@ def _bench_turbo(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
     granularity = 8.0
     ops = make_mixed_ops(count, seed)
 
-    def best_of_three(turbo: bool, batched: bool):
+    def best_of_three(mode: str, batched: bool):
         drive = _drive_batched if batched else _drive_per_op
         best = None
         for _ in range(BENCH_REPEATS):
-            store = HardwareTagStore(
-                granularity=granularity,
-                fast_mode=batched,
-                mode="turbo" if turbo else "gate",
-            )
+            store = HardwareTagStore(granularity=granularity, mode=mode)
             seconds, served = _timed(lambda: drive(store, ops))
             if best is None or seconds < best[0]:
                 best = (seconds, served, store)
@@ -776,13 +767,13 @@ def _bench_turbo(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
 
     variants: Dict[str, Tuple[float, List, HardwareTagStore]] = {}
     scenarios: List[Dict] = []
-    for key, turbo, batched in (
-        ("gate_per_op", False, False),
-        ("gate_batched", False, True),
-        ("turbo_per_op", True, False),
-        ("turbo_batched", True, True),
+    for key, mode, batched in (
+        ("gate_per_op", "gate", False),
+        ("gate_batched", "gate", True),
+        ("turbo_per_op", "turbo", False),
+        ("turbo_batched", "turbo", True),
     ):
-        seconds, served, store = best_of_three(turbo, batched)
+        seconds, served, store = best_of_three(mode, batched)
         variants[key] = (seconds, served, store)
         scenario = _scenario(
             f"turbo_phase_{key}:headline",
@@ -790,10 +781,8 @@ def _bench_turbo(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
             seconds=seconds,
             accesses=store.circuit.registry.total().total,
             cycles=store.cycles,
-            engine="turbo" if turbo else "gate",
+            engine=mode,
         )
-        if turbo:
-            scenario["head_cache_hits"] = store.circuit.head_cache_hits
         scenarios.append(scenario)
 
     reference_served = variants["gate_per_op"][1]
@@ -841,7 +830,6 @@ def _bench_turbo(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
         "min_speedup": TURBO_MIN_SPEEDUP,
         "served_orders_identical": True,
         "accounting_identical": True,
-        "head_cache_hits": variants["turbo_per_op"][2].circuit.head_cache_hits,
     }
     return summary, scenarios
 
@@ -857,15 +845,14 @@ def _bench_timer(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
     totals, and the workload's own checks (deadline-ordered firing,
     armed = fired + cancelled + pending conservation) must hold.  This
     is the regression fence for the removal/retag cost model: any
-    change to the unlink path, the marker-clear discipline, or the
-    head-path cache invalidation shows up in ``cycles_per_op`` /
-    ``accesses_per_op`` here.
+    change to the unlink path or the marker-clear discipline shows up
+    in ``cycles_per_op`` / ``accesses_per_op`` here.
     """
     from ..net.timer import run_timer_soak
 
     variants: Dict[str, Tuple[float, object]] = {}
     scenarios: List[Dict] = []
-    for key, turbo in (("gate", False), ("turbo", True)):
+    for key in ("gate", "turbo"):
         best = None
         for _ in range(BENCH_REPEATS):
             seconds, run = _timed(
@@ -898,8 +885,6 @@ def _bench_timer(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
             repinned=run.repinned,
             fired=run.fired,
         )
-        if turbo:
-            scenario["head_cache_hits"] = run.backend.circuit.head_cache_hits
         scenarios.append(scenario)
 
     gate_run = variants["gate"][1]
@@ -1480,8 +1465,7 @@ def _format_summary(document: Dict) -> str:
             f"{turbo['turbo_per_op']['ops_per_second']:,.0f} ops/s per-op vs "
             f"{turbo['gate_per_op']['ops_per_second']:,.0f} ops/s gate "
             f"({turbo['speedup']}x; {turbo['turbo_vs_batched']}x over the "
-            f"batched gate path; {turbo['head_cache_hits']} head-cache hits; "
-            f"parity exact)",
+            f"batched gate path; parity exact)",
         ]
     vector = document.get("vector")
     if vector:

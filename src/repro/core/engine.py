@@ -1,15 +1,19 @@
 """Pluggable data-plane engines behind one formal protocol.
 
-The circuit grew three interchangeable execution engines:
+The circuit runs on one of three interchangeable engines, picked by the
+one ``mode`` knob:
 
 ``gate``
-    The paper-faithful reference: every memory access goes through the
-    gate-accurate :class:`~repro.hwsim.memory.SinglePortSRAM` models
-    (:class:`~repro.core.sort_retrieve.TagSortRetrieveCircuit` with
-    ``turbo=False``).
+    The paper-faithful reference and oracle:
+    :class:`~repro.core.sort_retrieve.TagSortRetrieveCircuit` over the
+    gate-accurate structures, so every memory access goes through the
+    :class:`~repro.hwsim.memory.SinglePortSRAM` / register-file models
+    and every search through the matcher circuits.
 ``turbo``
-    The access-fused bit-parallel engine (same class, ``turbo=True``)
-    — asserted cycle- and access-identical to gate.
+    :class:`~repro.core.sort_retrieve.FusedSortRetrieveCircuit`: the
+    same operation bodies over the fused structure flavours, which
+    override only the hot primitives — asserted cycle- and
+    access-identical to gate.
 ``vector``
     The numpy array data plane
     (:class:`~repro.core.vector.VectorSortRetrieveCircuit`) — tree
@@ -23,7 +27,9 @@ The circuit grew three interchangeable execution engines:
 :class:`DataPlaneEngine` is the formal protocol every engine
 implements; :func:`make_circuit` / :func:`circuit_from_state` are the
 only constructors the systems layers (``net/``, ``fabric/``, bench,
-serve) should use, keyed by the ``mode`` string.  numpy is a graceful
+serve) should use, keyed by the ``mode`` string, and
+:func:`read_legacy_keys` is the one reader of the snapshot keys older
+releases wrote.  numpy is a graceful
 optional dependency: requesting ``--mode vector`` without numpy raises
 one clear :class:`~repro.hwsim.errors.ConfigurationError` (never a
 bare ``ImportError``), via :func:`require_numpy`.
@@ -43,7 +49,11 @@ except ImportError:  # pragma: no cover
 
 
 from ..hwsim.errors import ConfigurationError
-from .sort_retrieve import ServedTag, TagSortRetrieveCircuit
+from .sort_retrieve import (
+    FusedSortRetrieveCircuit,
+    ServedTag,
+    TagSortRetrieveCircuit,
+)
 from .words import PAPER_FORMAT, WordFormat
 
 #: Engine modes accepted everywhere a ``--mode`` / ``mode=`` knob exists.
@@ -186,6 +196,47 @@ class DataPlaneEngine(Protocol):
     def detach_tracer(self) -> None: ...
 
 
+#: Snapshot keys older releases wrote and no loader reads any more: the
+#: engine bool (now ``mode``), the switch of the ``_live_tags``
+#: verification shadow, and the shadow's tag multiset (the handle
+#: registry covers it).
+LEGACY_SNAPSHOT_KEYS = frozenset(("turbo", "fast_mode", "live_tags"))
+
+
+def read_legacy_keys(
+    block: dict, *, default_mode: str = "gate"
+) -> Tuple[str, dict]:
+    """Read a snapshot block that any release may have written.
+
+    Returns ``(mode, current)``: the engine the block names, and the
+    block without :data:`LEGACY_SNAPSHOT_KEYS`.  The engine is the
+    block's ``mode`` field; blocks written before engines had names
+    carry only the ``turbo`` bool, and blocks with neither name
+    ``default_mode``.  Each snapshot kind keeps its historical default:
+    gate for circuit, store and fabric snapshots, turbo for a serve
+    config (the server's default engine).
+    """
+    if block.get("mode"):
+        mode = block["mode"]
+    elif "turbo" in block:
+        mode = "turbo" if block["turbo"] else "gate"
+    else:
+        mode = default_mode
+    current = {
+        key: value
+        for key, value in block.items()
+        if key not in LEGACY_SNAPSHOT_KEYS
+    }
+    return mode, current
+
+
+#: the scalar engines: one circuit class per structure flavour
+SCALAR_ENGINES = {
+    "gate": TagSortRetrieveCircuit,
+    "turbo": FusedSortRetrieveCircuit,
+}
+
+
 def make_circuit(
     fmt: WordFormat = PAPER_FORMAT,
     *,
@@ -193,7 +244,6 @@ def make_circuit(
     capacity: int = 4096,
     eager_marker_removal: bool = False,
     modular: bool = False,
-    fast_mode: bool = False,
     tracer=None,
     matcher_factory=None,
 ) -> DataPlaneEngine:
@@ -207,19 +257,16 @@ def make_circuit(
             capacity=capacity,
             eager_marker_removal=eager_marker_removal,
             modular=modular,
-            fast_mode=fast_mode,
             tracer=tracer,
         )
     kwargs: Dict[str, Any] = {}
     if matcher_factory is not None:
         kwargs["matcher_factory"] = matcher_factory
-    return TagSortRetrieveCircuit(
+    return SCALAR_ENGINES[mode](
         fmt,
         capacity=capacity,
         eager_marker_removal=eager_marker_removal,
         modular=modular,
-        fast_mode=fast_mode,
-        turbo=(mode == "turbo"),
         tracer=tracer,
         **kwargs,
     )
@@ -234,28 +281,16 @@ def circuit_from_state(
     """Reconstruct a circuit snapshot under the engine ``mode`` names.
 
     Snapshots are engine-neutral (the gate shape is the interchange
-    format), so the hosting process picks the engine at restore time —
-    exactly like the pre-existing gate/turbo checkpoint portability.
-    When ``mode`` is omitted the snapshot's own legacy ``turbo`` flag
-    decides between gate and turbo.
+    format), so the hosting process picks the engine at restore time.
+    When ``mode`` is omitted, :func:`read_legacy_keys` reads the
+    snapshot's legacy ``turbo`` flag (gate when absent).
     """
     if mode is None:
-        config = state.get("config", {})
-        mode = "turbo" if config.get("turbo", False) else "gate"
+        mode, _ = read_legacy_keys(state.get("config", {}))
     mode = resolve_mode(mode)
     if mode == "vector":
         from .vector import VectorSortRetrieveCircuit  # noqa: PLC0415
 
         return VectorSortRetrieveCircuit.from_state(state, tracer=tracer)
-    circuit = TagSortRetrieveCircuit.from_state(state, tracer=tracer)
-    circuit.turbo = mode == "turbo"
-    return circuit
+    return SCALAR_ENGINES[mode].from_state(state, tracer=tracer)
 
-
-def engine_name(circuit) -> str:
-    """The mode string of a live engine instance."""
-    from .vector import VectorSortRetrieveCircuit  # noqa: PLC0415
-
-    if isinstance(circuit, VectorSortRetrieveCircuit):
-        return "vector"
-    return "turbo" if getattr(circuit, "turbo", False) else "gate"

@@ -130,28 +130,6 @@ class MatchingCircuit(ABC):
     def search(self, word_mask: int, target: int) -> MatchResult:
         """Compute the primary and backup matches for ``target``."""
 
-    def search_fast(self, word_mask: int, target: int) -> MatchResult:
-        """Bit-parallel kernel computing the same function as :meth:`search`.
-
-        The hardware completes both priority encodes within the node's
-        fixed access slot regardless of word length; a per-bit Python
-        loop does not.  This kernel reaches the same answer with O(1)
-        machine-word operations: mask off everything above the target,
-        take the highest remaining set bit (the primary), strip it, and
-        take the next highest (the backup).  Every topology inherits it
-        unchanged — the function is topology-independent, only the
-        delay/area cost model differs — and the differential test suite
-        holds it equal to each topology's structural :meth:`search` over
-        the full (word_mask, target) space.
-        """
-        self._validate(word_mask, target)
-        masked = word_mask & ((2 << target) - 1)
-        if not masked:
-            return MatchResult(None, None)
-        primary = masked.bit_length() - 1
-        below = masked ^ (1 << primary)
-        return MatchResult(primary, below.bit_length() - 1 if below else None)
-
     @abstractmethod
     def cost(self) -> Cost:
         """Critical-path delay and logic area in unit-gate terms."""

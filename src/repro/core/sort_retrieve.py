@@ -37,11 +37,17 @@ markers reuse the previous value's path as a node-register cache, and
 stats land in the :class:`~repro.hwsim.stats.StatsRegistry` as one bulk
 update per batch.  Batches produce the same service order, the same
 linked-list state, and the same cycle accounting as the per-op loop.
-An opt-in **fast mode** additionally skips the ``_live_tags``
-verification shadow (a pure-software debugging aid with no hardware
-counterpart); section-level occupancy counters keep the Fig. 6
-stale-section guard intact, but :meth:`check_invariants` can no longer
-cross-check the stored multiset against an independent shadow.
+
+**One circuit, two structure flavours.**  Each operation is written
+once, here, over the three structures' primitives.
+:class:`TagSortRetrieveCircuit` builds the gate-accurate reference
+structures (every access through the
+:class:`~repro.hwsim.memory.SinglePortSRAM` models, every search through
+the matcher circuits) and is the oracle the paper experiments and the
+parity suites check against.  :class:`FusedSortRetrieveCircuit` (``--mode
+turbo``) builds the fused flavours, which override only the hot
+primitives and charge the identical accesses, so cycles, access
+counters, served order and snapshots are equal between the two.
 
 **Telemetry** is opt-in via
 :meth:`TagSortRetrieveCircuit.attach_tracer`: every operation then emits
@@ -54,7 +60,6 @@ attached, so the default untraced circuit runs the unmodified hot paths.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -76,9 +81,9 @@ from ..hwsim.errors import (
 from ..hwsim.stats import AccessStats, StatsRegistry
 from ..obs.tracer import NULL_TRACER
 from .matching import DEFAULT_MATCHER
-from .tag_storage import TagStorageMemory
-from .translation import TranslationTable
-from .tree import MultiBitTree, SearchOutcome
+from .tag_storage import FusedTagStorageMemory, TagStorageMemory
+from .translation import FusedTranslationTable, TranslationTable
+from .tree import FusedMultiBitTree, MultiBitTree
 from .words import PAPER_FORMAT, WordFormat
 
 #: Clock cycles consumed by any single circuit operation (Section III-A).
@@ -166,7 +171,18 @@ class FaultInjection:
 
 
 class TagSortRetrieveCircuit:
-    """The complete tag sort/retrieve circuit of paper Fig. 3."""
+    """The complete tag sort/retrieve circuit of paper Fig. 3.
+
+    Built over the gate-accurate reference structures (``--mode gate``);
+    :class:`FusedSortRetrieveCircuit` swaps in the fused flavours.
+    """
+
+    #: the ``--mode`` name of this flavour
+    mode = "gate"
+    #: the structure classes the operations run on
+    tree_class = MultiBitTree
+    translation_class = TranslationTable
+    storage_class = TagStorageMemory
 
     #: Seeded telemetry faults (:class:`FaultInjection`) — a test hook
     #: read only by the traced wrappers; ``None`` (the class default)
@@ -181,8 +197,6 @@ class TagSortRetrieveCircuit:
         matcher_factory=DEFAULT_MATCHER,
         eager_marker_removal: bool = False,
         modular: bool = False,
-        fast_mode: bool = False,
-        turbo: bool = False,
         tracer=None,
     ) -> None:
         if capacity < 1:
@@ -195,33 +209,23 @@ class TagSortRetrieveCircuit:
         self.eager_marker_removal = eager_marker_removal
         self.modular = modular
         # Tag-space scalars cached off the word-format property chain
-        # (consulted on every insert's monotonicity check).
+        # (consulted on every insert's range and monotonicity checks).
+        self._max_tag = fmt.max_value
         self._tag_space = fmt.capacity
         self._half_space = fmt.capacity // 2
-        self.tree = MultiBitTree(fmt, matcher_factory=matcher_factory)
-        self.translation = TranslationTable(fmt)
-        self.storage = TagStorageMemory(capacity, modular=modular)
+        self.tree = self.tree_class(fmt, matcher_factory=matcher_factory)
+        self.translation = self.translation_class(fmt)
+        self.storage = self.storage_class(capacity, modular=modular)
         self.cycles = 0
         self.operations = 0
-        self._fast_mode = bool(fast_mode)
-        self._turbo = bool(turbo)
-        #: head-path cache (turbo engine): literal decomposition of the
-        #: current minimum's root-to-leaf path, so head-local operations
-        #: skip the trie walk.  ``_head_cache_tag`` keys the memo;
-        #: validity itself is re-derived from the head register on every
-        #: use (see :meth:`_turbo_locate_predecessor`).
-        self._head_cache_tag: Optional[int] = None
-        self._head_cache_literals: Optional[List[int]] = None
-        self.head_cache_hits = 0
-        self._live_tags: Counter = Counter()  # verification shadow only
         #: handle registry: live storage address -> tag.  Hardware keeps
         #: a valid bit per slot; this map is that bit plus the tag the
         #: handle was issued for, and is what makes :meth:`remove` /
-        #: :meth:`retag` safe against stale handles.  Always on (unlike
-        #: the ``_live_tags`` shadow) — dynamic updates depend on it.
+        #: :meth:`retag` safe against stale handles.
+        #: :meth:`check_invariants` compares it against the storage walk.
         self._handles: Dict[int, int] = {}
         #: live tags per root-literal section; backs the Fig. 6
-        #: stale-section guard even when the shadow is disabled.
+        #: stale-section guard.
         self._section_bits = fmt.word_bits - fmt.literal_bits
         self._section_live = [0] * fmt.branching_factor
         self.registry = StatsRegistry()
@@ -232,7 +236,6 @@ class TagSortRetrieveCircuit:
                 f"tree_level_{level}", self.tree.level_stats(level)
             )
         self.tracer = NULL_TRACER
-        self._rebind_hot_paths()
         if tracer is not None:
             self.attach_tracer(tracer)
 
@@ -275,38 +278,6 @@ class TagSortRetrieveCircuit:
         """
         return self.storage.peek_tags(count)
 
-    @property
-    def fast_mode(self) -> bool:
-        """Whether the verification shadow is disabled (opt-in fast path)."""
-        return self._fast_mode
-
-    @fast_mode.setter
-    def fast_mode(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._fast_mode:
-            return
-        if enabled:
-            self._live_tags.clear()
-        else:
-            # Rebuild the shadow from the authoritative storage walk so
-            # invariant checking resumes from a consistent state.
-            self._live_tags = Counter(tag for tag, _ in self.storage.walk())
-        self._fast_mode = enabled
-
-    @property
-    def turbo(self) -> bool:
-        """Whether the access-fused turbo engine drives the per-op paths."""
-        return self._turbo
-
-    @turbo.setter
-    def turbo(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._turbo:
-            return
-        self._turbo = enabled
-        self._invalidate_head_cache()
-        self._rebind_hot_paths()
-
     def total_stats(self) -> AccessStats:
         """Summed memory traffic across every internal structure."""
         return self.registry.total()
@@ -327,13 +298,7 @@ class TagSortRetrieveCircuit:
             "capacity": self.storage.capacity,
             "modular": self.modular,
             "eager_marker_removal": self.eager_marker_removal,
-            "fast_mode": self._fast_mode,
-            "turbo": self._turbo,
         }
-
-    def _spend_operation(self) -> None:
-        self.cycles += FIXED_OP_CYCLES
-        self.operations += 1
 
     def _check_monotone(self, tag: int) -> None:
         """Enforce the WFQ invariant: new tags never precede the minimum.
@@ -379,38 +344,39 @@ class TagSortRetrieveCircuit:
         table converts it to a linked-list address, and the storage
         memory splices the new link in (Fig. 9).
         """
-        self.fmt.check_value(tag)
+        if not (type(tag) is int and 0 <= tag <= self._max_tag):
+            self.fmt.check_value(tag)  # raises the canonical error
         if not self.eager_marker_removal:
             self._check_monotone(tag)
-        address = self._insert_link(tag, payload)
+        storage = self.storage
+        if storage.is_empty:
+            # Initialization mode (Section III-A).  In deferred-marker
+            # mode the tree still holds stale markers from the busy
+            # period that just drained; the next busy period may start
+            # at *lower* tag values, which would make those stale
+            # markers reachable again, so the initialization reset
+            # flushes them.
+            if not self.eager_marker_removal and not self.tree.is_empty:
+                self.tree.clear_all()
+            address = storage.insert_first(tag, payload)
+        else:
+            predecessor = self._locate_predecessor(tag)
+            if predecessor is None:
+                if self.modular:
+                    raise ProtocolError(
+                        f"no predecessor for wrapped tag {tag}: the "
+                        "sections below it were not cleared before reuse"
+                    )
+                address = storage.insert_at_head(tag, payload)
+            else:
+                address = storage.insert_after(predecessor, tag, payload)
         self.tree.insert_marker(tag)
         self.translation.record(tag, address)
         self._handles[address] = tag
-        if not self._fast_mode:
-            self._live_tags[tag] += 1
         self._section_live[tag >> self._section_bits] += 1
-        self._spend_operation()
+        self.cycles += FIXED_OP_CYCLES
+        self.operations += 1
         return address
-
-    def _insert_link(self, tag: int, payload: Any) -> int:
-        if self.storage.is_empty:
-            # Initialization mode (Section III-A).  In deferred-marker
-            # mode the tree still holds stale markers from the busy
-            # period that just drained; the next busy period may start at
-            # *lower* tag values, which would make those stale markers
-            # reachable again, so the initialization reset flushes them.
-            if not self.eager_marker_removal and not self.tree.is_empty:
-                self.tree.clear_all()
-            return self.storage.insert_first(tag, payload)
-        predecessor = self._locate_predecessor(tag)
-        if predecessor is None:
-            if self.modular:
-                raise ProtocolError(
-                    f"no predecessor for wrapped tag {tag}: the sections "
-                    "below it were not cleared before reuse"
-                )
-            return self.storage.insert_at_head(tag, payload)
-        return self.storage.insert_after(predecessor, tag, payload)
 
     def _locate_predecessor(self, tag: int) -> Optional[int]:
         """Tree search + translation lookup -> predecessor link address.
@@ -420,10 +386,19 @@ class TagSortRetrieveCircuit:
         tags are still live near the top of the range); its logical
         predecessor is then the largest marked value of the old lap — the
         raw maximum, found by following maximum bits down the tree.
+
+        A traced run takes the reference :meth:`~MultiBitTree.search`,
+        whose :class:`~repro.core.tree.SearchOutcome` reports backup-path
+        use; it charges the same reads as either flavour's
+        ``closest_at_most``.
         """
-        closest = self.tree.closest_at_most(tag)
-        if closest is None and self.modular and not self.tree.is_empty:
-            closest = self.tree.max_marked()
+        tree = self.tree
+        if self.tracer.enabled:
+            closest = tree.search(tag).result
+        else:
+            closest = tree.closest_at_most(tag)
+        if closest is None and self.modular and not tree.is_empty:
+            closest = tree.max_marked()
         if closest is None:
             return None
         address = self.translation.lookup(closest)
@@ -438,12 +413,13 @@ class TagSortRetrieveCircuit:
 
     def dequeue_min(self) -> ServedTag:
         """Remove and return the smallest tag in fixed time."""
-        if self.is_empty:
+        if self.storage.is_empty:
             raise EmptyStructureError("dequeue from an empty circuit")
         tag, payload, address = self.storage.dequeue_min()
         self._retire(tag, address)
-        self._spend_operation()
-        return ServedTag(tag=tag, payload=payload, address=address)
+        self.cycles += FIXED_OP_CYCLES
+        self.operations += 1
+        return ServedTag(tag, payload, address)
 
     def insert_and_dequeue(
         self, tag: int, payload: Any = None
@@ -454,8 +430,9 @@ class TagSortRetrieveCircuit:
         request arrive together: the departing head's slot is reused for
         the incoming tag.  Returns ``(served, new_address)``.
         """
-        self.fmt.check_value(tag)
-        if self.is_empty:
+        if not (type(tag) is int and 0 <= tag <= self._max_tag):
+            self.fmt.check_value(tag)  # raises the canonical error
+        if self.storage.is_empty:
             raise EmptyStructureError("insert_and_dequeue on an empty circuit")
         if not self.eager_marker_removal:
             self._check_monotone(tag)
@@ -467,21 +444,14 @@ class TagSortRetrieveCircuit:
         self.tree.insert_marker(tag)
         self.translation.record(tag, new_address)
         self._handles[new_address] = tag
-        if not self._fast_mode:
-            self._live_tags[tag] += 1
         self._section_live[tag >> self._section_bits] += 1
-        self._spend_operation()
-        served = ServedTag(
-            tag=served_tag, payload=served_payload, address=served_address
-        )
+        self.cycles += FIXED_OP_CYCLES
+        self.operations += 1
+        served = ServedTag(served_tag, served_payload, served_address)
         return served, new_address
 
     def _retire(self, tag: int, address: int) -> None:
         self._handles.pop(address, None)
-        if not self._fast_mode:
-            self._live_tags[tag] -= 1
-            if self._live_tags[tag] == 0:
-                del self._live_tags[tag]
         self._section_live[tag >> self._section_bits] -= 1
         if self.eager_marker_removal:
             if self.translation.invalidate_if_points_to(tag, address):
@@ -566,7 +536,7 @@ class TagSortRetrieveCircuit:
             self.flush_stale_markers()
             predecessor = None
         else:
-            predecessor = self._op_locate_predecessor(entries[0][0])
+            predecessor = self._locate_predecessor(entries[0][0])
             if predecessor is None and self.modular:
                 raise ProtocolError(
                     f"no predecessor for wrapped tag {entries[0][0]}: the "
@@ -583,9 +553,6 @@ class TagSortRetrieveCircuit:
             if index + 1 == count or entries[index + 1][0] != tag:
                 # Only the newest duplicate's address must be recorded.
                 self.translation.record(tag, sorted_addresses[index])
-        if not self._fast_mode:
-            for tag in tags:
-                self._live_tags[tag] += 1
         section_live = self._section_live
         shift = self._section_bits
         for tag in tags:
@@ -747,11 +714,73 @@ class TagSortRetrieveCircuit:
         one per extra duplicate-run read beyond the fixed window.
         Returns the removed entry as a :class:`ServedTag`.
         """
-        return self._remove_core(handle, turbo=False)
-
-    def _turbo_remove(self, handle: int) -> ServedTag:
-        """Turbo twin of :meth:`remove` (same costs, fused accesses)."""
-        return self._remove_core(handle, turbo=True)
+        tag = self._handles.get(handle)
+        if tag is None:
+            raise ProtocolError(
+                f"handle {handle} does not name a live entry"
+            )
+        storage = self.storage
+        translation = self.translation
+        extra_cycles = 0
+        predecessor_address: Optional[int] = None
+        predecessor_tag: Optional[int] = None
+        if handle == storage._head_address:
+            removed_tag, payload = storage.remove_at(handle, None)
+        else:
+            if tag == storage._head_tag:
+                # The victim shares the minimum tag: its run starts at
+                # the head, so the walk anchors there (a register; no
+                # tree search — a search below the minimum could land
+                # on a stale marker in deferred mode).
+                start = storage._head_address
+            else:
+                tree = self.tree
+                closest = tree.closest_at_most(tag - 1) if tag > 0 else None
+                if closest is None and self.modular and not tree.is_empty:
+                    closest = tree.max_marked()
+                if closest is None:
+                    raise ProtocolError(
+                        f"no predecessor value below live tag {tag}"
+                    )
+                start = translation.lookup(closest)
+                if start is None:
+                    raise ProtocolError(
+                        f"tree returned value {closest} with no "
+                        f"translation entry"
+                    )
+            (
+                removed_tag,
+                payload,
+                predecessor_address,
+                predecessor_tag,
+                reads,
+            ) = storage.unlink(handle, start)
+            # The fixed window covers two reads (anchor + victim); each
+            # extra duplicate walked costs one more cycle.
+            extra_cycles = max(0, reads - 2)
+        if removed_tag != tag:
+            raise ProtocolError(
+                f"handle {handle} registered tag {tag} but storage held "
+                f"{removed_tag}"
+            )
+        del self._handles[handle]
+        self._section_live[tag >> self._section_bits] -= 1
+        # Translation/marker maintenance is eager in *both* marker
+        # modes: unlike a dequeue (whose stale markers stay shadowed by
+        # the live minimum), an arbitrary removal can leave a stale
+        # marker above the minimum, where a later search would find it.
+        if translation.lookup(tag) == handle:
+            if predecessor_tag == tag:
+                # Older duplicates remain: the immediate predecessor is
+                # the new newest link of this value.
+                translation.record(tag, predecessor_address)
+            else:
+                # Last link of its value: entry and marker both go.
+                translation.invalidate(tag)
+                self.tree.remove_marker(tag)
+        self.cycles += FIXED_OP_CYCLES + extra_cycles
+        self.operations += 1
+        return ServedTag(tag, payload, handle)
 
     def retag(self, handle: int, new_tag: int) -> int:
         """Move the live entry at ``handle`` to ``new_tag`` (repin).
@@ -765,14 +794,10 @@ class TagSortRetrieveCircuit:
         rejected retag leaves the circuit untouched.
         """
         self._validate_retag(handle, new_tag)
-        removed = self._remove_core(handle, turbo=False)
+        # Class-qualified, so a traced circuit emits one retag event
+        # rather than a remove and an insert event as well.
+        removed = TagSortRetrieveCircuit.remove(self, handle)
         return TagSortRetrieveCircuit.insert(self, new_tag, removed.payload)
-
-    def _turbo_retag(self, handle: int, new_tag: int) -> int:
-        """Turbo twin of :meth:`retag` (remove + insert, fused paths)."""
-        self._validate_retag(handle, new_tag)
-        removed = self._remove_core(handle, turbo=True)
-        return self._turbo_insert(new_tag, removed.payload)
 
     def _validate_retag(self, handle: int, new_tag: int) -> None:
         """Reject an illegal retag before any state changes."""
@@ -789,304 +814,6 @@ class TagSortRetrieveCircuit:
                 # link (and its successor tag) is latched in registers.
                 minimum = storage._memory.peek(handle).next_tag
             self._check_monotone_against(new_tag, minimum)
-
-    def _remove_core(self, handle: int, *, turbo: bool) -> ServedTag:
-        """Shared remove path; ``turbo`` switches the fused primitives."""
-        tag = self._handles.get(handle)
-        if tag is None:
-            raise ProtocolError(
-                f"handle {handle} does not name a live entry"
-            )
-        storage = self.storage
-        translation = self.translation
-        extra_cycles = 0
-        predecessor_address: Optional[int] = None
-        predecessor_tag: Optional[int] = None
-        if handle == storage._head_address:
-            if turbo:
-                removed_tag, payload = storage.turbo_remove_at(handle, None)
-            else:
-                removed_tag, payload = storage.remove_at(handle, None)
-        else:
-            if tag == storage._head_tag:
-                # The victim shares the minimum tag: its run starts at
-                # the head, so the walk anchors there (a register; no
-                # tree search — a search below the minimum could land
-                # on a stale marker in deferred mode).
-                start = storage._head_address
-            else:
-                tree = self.tree
-                if tag > 0:
-                    closest = (
-                        tree.closest_fast(tag - 1)
-                        if turbo
-                        else tree.closest_at_most(tag - 1)
-                    )
-                else:
-                    closest = None
-                if closest is None and self.modular and not tree.is_empty:
-                    closest = tree.max_marked()
-                if closest is None:
-                    raise ProtocolError(
-                        f"no predecessor value below live tag {tag}"
-                    )
-                start = (
-                    translation.turbo_lookup(closest)
-                    if turbo
-                    else translation.lookup(closest)
-                )
-                if start is None:
-                    raise ProtocolError(
-                        f"tree returned value {closest} with no "
-                        f"translation entry"
-                    )
-            if turbo:
-                (
-                    removed_tag,
-                    payload,
-                    predecessor_address,
-                    predecessor_tag,
-                    reads,
-                ) = storage.turbo_unlink(handle, start)
-            else:
-                (
-                    removed_tag,
-                    payload,
-                    predecessor_address,
-                    predecessor_tag,
-                    reads,
-                ) = storage.unlink(handle, start)
-            # The fixed window covers two reads (anchor + victim); each
-            # extra duplicate walked costs one more cycle.
-            extra_cycles = max(0, reads - 2)
-        if removed_tag != tag:
-            raise ProtocolError(
-                f"handle {handle} registered tag {tag} but storage held "
-                f"{removed_tag}"
-            )
-        del self._handles[handle]
-        if not self._fast_mode:
-            self._live_tags[tag] -= 1
-            if self._live_tags[tag] == 0:
-                del self._live_tags[tag]
-        self._section_live[tag >> self._section_bits] -= 1
-        # Translation/marker maintenance is eager in *both* marker
-        # modes: unlike a dequeue (whose stale markers stay shadowed by
-        # the live minimum), an arbitrary removal can leave a stale
-        # marker above the minimum, where a later search would find it.
-        points_here = (
-            translation.turbo_lookup(tag)
-            if turbo
-            else translation.lookup(tag)
-        ) == handle
-        if points_here:
-            if predecessor_tag == tag:
-                # Older duplicates remain: the immediate predecessor is
-                # the new newest link of this value.
-                if turbo:
-                    translation.turbo_record(tag, predecessor_address)
-                else:
-                    translation.record(tag, predecessor_address)
-            else:
-                # Last link of its value: entry and marker both go.
-                if turbo:
-                    translation.turbo_record(tag, None)
-                else:
-                    translation.invalidate(tag)
-                self.tree.remove_marker(tag)
-        self._invalidate_head_cache()
-        self.cycles += FIXED_OP_CYCLES + extra_cycles
-        self.operations += 1
-        return ServedTag(tag=tag, payload=payload, address=handle)
-
-    # ------------------------------------------------------------------
-    # turbo engine (access-fused per-op paths; exact accounting parity)
-    #
-    # Turbo mode swaps the per-op hot paths for variants that compute
-    # the same answers with machine-word bit tricks and raw-cell access:
-    # the tree search runs the bit-parallel `search_fast` kernel, the
-    # marker insert and the storage splice mutate cells directly, and
-    # every access is charged to the *same* per-structure AccessStats
-    # counters the gate-accurate memory objects use — so cycles_per_op,
-    # accesses_per_op, served order, and the structure state all come
-    # out identical, not approximated.  Dispatch is via the `_op_*`
-    # instance attributes (see `_rebind_hot_paths`), which the traced
-    # wrappers also route through so telemetry composes with turbo.
-
-    def _rebind_hot_paths(self) -> None:
-        """Point the engine dispatch attributes at the active engine.
-
-        The ``_op_*`` attributes always exist (both engines, traced or
-        not); the *public* method names are shadowed only when turbo is
-        on and no tracer is attached — a default circuit keeps clean
-        class-method resolution on its hot paths (asserted by the perf
-        smoke), and a traced circuit keeps its traced wrappers, which
-        dispatch through ``_op_*`` themselves.
-        """
-        cls = TagSortRetrieveCircuit
-        if self._turbo:
-            self._op_insert = self._turbo_insert
-            self._op_dequeue_min = self._turbo_dequeue_min
-            self._op_insert_and_dequeue = self._turbo_insert_and_dequeue
-            self._op_locate_predecessor = self._turbo_locate_predecessor
-            self._op_remove = self._turbo_remove
-            self._op_retag = self._turbo_retag
-        else:
-            self._op_insert = cls.insert.__get__(self)
-            self._op_dequeue_min = cls.dequeue_min.__get__(self)
-            self._op_insert_and_dequeue = cls.insert_and_dequeue.__get__(self)
-            self._op_locate_predecessor = cls._locate_predecessor.__get__(self)
-            self._op_remove = cls.remove.__get__(self)
-            self._op_retag = cls.retag.__get__(self)
-        if not getattr(self.tracer, "enabled", False):
-            if self._turbo:
-                self.insert = self._op_insert
-                self.dequeue_min = self._op_dequeue_min
-                self.insert_and_dequeue = self._op_insert_and_dequeue
-                self.remove = self._op_remove
-                self.retag = self._op_retag
-            else:
-                for name in (
-                    "insert",
-                    "dequeue_min",
-                    "insert_and_dequeue",
-                    "remove",
-                    "retag",
-                ):
-                    self.__dict__.pop(name, None)
-
-    def _invalidate_head_cache(self) -> None:
-        """Drop the head-path cache (section clear, marker flush, restore).
-
-        Hits are additionally gated on ``tag == head register`` at use
-        time, so invalidation here is defense in depth: the cache can
-        never serve a path whose markers were bulk-deleted, because a
-        section holding the live minimum refuses to clear and a marker
-        flush requires an empty storage.
-        """
-        self._head_cache_tag = None
-        self._head_cache_literals = None
-
-    def _turbo_locate_predecessor(self, tag: int) -> Optional[int]:
-        """Turbo twin of :meth:`_locate_predecessor`.
-
-        Head-path cache: when ``tag`` equals the current minimum (the
-        head register; zero-cost to consult), the gate-accurate search
-        is known in advance — the minimum's marker path is always
-        intact, so the search exact-matches at every level, costing one
-        sequential read per level and never touching the backup path.
-        The cache synthesizes that exact outcome (charging the identical
-        per-level reads) without walking the trie.  Dominant hit source:
-        clamped inserts and head-local insert+dequeue ops.
-        """
-        tree = self.tree
-        probed = self.tracer.enabled
-        if tag == self.storage._head_tag:
-            if probed:
-                literals = self._head_cache_literals
-                if literals is None or self._head_cache_tag != tag:
-                    literals = self.fmt.literals(tag)
-                    self._head_cache_tag = tag
-                    self._head_cache_literals = literals
-                tree.last_outcome = SearchOutcome(
-                    key=tag,
-                    result=tag,
-                    exact=True,
-                    path_literals=list(literals),
-                    sequential_node_reads=len(literals),
-                )
-            else:
-                tree.last_outcome = None
-            for _, stats in tree._turbo_walk:
-                stats.reads += 1
-            self.head_cache_hits += 1
-            closest = tag
-        else:
-            if probed:
-                closest = tree.search_fast(tag).result
-            else:
-                closest = tree.closest_fast(tag)
-            if closest is None and self.modular and not tree.is_empty:
-                closest = tree.max_marked()
-            if closest is None:
-                return None
-        address = self.translation.turbo_lookup(closest)
-        if address is None:
-            raise ProtocolError(
-                f"tree returned value {closest} with no translation entry"
-            )
-        return address
-
-    def _turbo_insert(self, tag: int, payload: Any = None) -> int:
-        """Turbo twin of :meth:`insert` (same order of checks and state)."""
-        if not (isinstance(tag, int) and 0 <= tag <= self.tree._turbo_max):
-            self.fmt.check_value(tag)  # raises the canonical error
-        if not self.eager_marker_removal:
-            self._check_monotone(tag)
-        storage = self.storage
-        if storage.is_empty:
-            if not self.eager_marker_removal and not self.tree.is_empty:
-                self.tree.clear_all()
-                self._invalidate_head_cache()
-            address = storage.insert_first(tag, payload)
-        else:
-            predecessor = self._turbo_locate_predecessor(tag)
-            if predecessor is None:
-                if self.modular:
-                    raise ProtocolError(
-                        f"no predecessor for wrapped tag {tag}: the sections "
-                        "below it were not cleared before reuse"
-                    )
-                address = storage.insert_at_head(tag, payload)
-            else:
-                address = storage.turbo_insert_after(predecessor, tag, payload)
-        self.tree.insert_marker_fast(tag)
-        self.translation.turbo_record(tag, address)
-        self._handles[address] = tag
-        if not self._fast_mode:
-            self._live_tags[tag] += 1
-        self._section_live[tag >> self._section_bits] += 1
-        self.cycles += FIXED_OP_CYCLES
-        self.operations += 1
-        return address
-
-    def _turbo_dequeue_min(self) -> ServedTag:
-        """Turbo twin of :meth:`dequeue_min` (fixed-time head removal)."""
-        if self.storage.is_empty:
-            raise EmptyStructureError("dequeue from an empty circuit")
-        tag, payload, address = self.storage.turbo_dequeue_min()
-        self._retire(tag, address)
-        self.cycles += FIXED_OP_CYCLES
-        self.operations += 1
-        return ServedTag(tag=tag, payload=payload, address=address)
-
-    def _turbo_insert_and_dequeue(
-        self, tag: int, payload: Any = None
-    ) -> Tuple[ServedTag, int]:
-        """Turbo twin of :meth:`insert_and_dequeue` (slot-reusing op)."""
-        if not (isinstance(tag, int) and 0 <= tag <= self.tree._turbo_max):
-            self.fmt.check_value(tag)  # raises the canonical error
-        if self.is_empty:
-            raise EmptyStructureError("insert_and_dequeue on an empty circuit")
-        if not self.eager_marker_removal:
-            self._check_monotone(tag)
-        predecessor = self._turbo_locate_predecessor(tag)
-        served_tag, served_payload, served_address, new_address = (
-            self.storage.turbo_replace_min(predecessor, tag, payload)
-        )
-        self._retire(served_tag, served_address)
-        self.tree.insert_marker_fast(tag)
-        self.translation.turbo_record(tag, new_address)
-        self._handles[new_address] = tag
-        if not self._fast_mode:
-            self._live_tags[tag] += 1
-        self._section_live[tag >> self._section_bits] += 1
-        self.cycles += FIXED_OP_CYCLES
-        self.operations += 1
-        served = ServedTag(
-            tag=served_tag, payload=served_payload, address=served_address
-        )
-        return served, new_address
 
     # ------------------------------------------------------------------
     # telemetry (opt-in; zero-cost when disabled)
@@ -1144,9 +871,6 @@ class TagSortRetrieveCircuit:
             "flush_stale_markers",
         ):
             self.__dict__.pop(name, None)
-        # Restore the active engine's public bindings (turbo shadows the
-        # per-op names; gate mode leaves them to class resolution).
-        self._rebind_hot_paths()
 
     def _op_attrs(self) -> dict:
         """Shared register-derived attributes of a per-op event."""
@@ -1161,7 +885,7 @@ class TagSortRetrieveCircuit:
         before = self.registry.snapshot_all()
         self.tree.last_outcome = None
         try:
-            address = self._op_insert(tag, payload)
+            address = TagSortRetrieveCircuit.insert(self, tag, payload)
         except BaseException as error:
             tracer.event(
                 "insert",
@@ -1189,7 +913,7 @@ class TagSortRetrieveCircuit:
         tracer = self.tracer
         before = self.registry.snapshot_all()
         try:
-            served = self._op_dequeue_min()
+            served = TagSortRetrieveCircuit.dequeue_min(self)
         except BaseException as error:
             tracer.event(
                 "dequeue",
@@ -1221,7 +945,9 @@ class TagSortRetrieveCircuit:
         before = self.registry.snapshot_all()
         self.tree.last_outcome = None
         try:
-            served, address = self._op_insert_and_dequeue(tag, payload)
+            served, address = TagSortRetrieveCircuit.insert_and_dequeue(
+                self, tag, payload
+            )
         except BaseException as error:
             tracer.event(
                 "insert_dequeue",
@@ -1322,7 +1048,7 @@ class TagSortRetrieveCircuit:
         cycles_before = self.cycles
         was_head = handle == self.storage._head_address
         try:
-            removed = self._op_remove(handle)
+            removed = TagSortRetrieveCircuit.remove(self, handle)
         except BaseException as error:
             tracer.event(
                 "remove",
@@ -1355,7 +1081,7 @@ class TagSortRetrieveCircuit:
         cycles_before = self.cycles
         old_tag = self._handles.get(handle)
         try:
-            address = self._op_retag(handle, new_tag)
+            address = TagSortRetrieveCircuit.retag(self, handle, new_tag)
         except BaseException as error:
             tracer.event(
                 "retag",
@@ -1438,7 +1164,6 @@ class TagSortRetrieveCircuit:
             )
         if not self.eager_marker_removal and not self.tree.is_empty:
             self.tree.clear_all()
-        self._invalidate_head_cache()
 
     def clear_stale_section(self, root_literal: int) -> int:
         """Bulk-delete the markers of one vacated sixteenth of tag space.
@@ -1454,22 +1179,18 @@ class TagSortRetrieveCircuit:
                 f"[0, {self.fmt.branching_factor})"
             )
         if self._section_live[root_literal]:
-            # The per-section occupancy counters guard the clear even in
-            # fast mode; the shadow (when enabled) names an offender.
-            low = root_literal << self._section_bits
-            high = low + (1 << self._section_bits) - 1
-            live_in_section = [
-                value for value in self._live_tags if low <= value <= high
-            ]
-            example = (
-                f" (e.g. {min(live_in_section)})" if live_in_section else ""
+            # The per-section occupancy counters guard the clear; the
+            # handle registry names an offender.
+            example = min(
+                tag
+                for tag in self._handles.values()
+                if tag >> self._section_bits == root_literal
             )
             raise ProtocolError(
                 f"section {root_literal} still holds "
                 f"{self._section_live[root_literal]} live "
-                f"tags{example}; cannot clear"
+                f"tags (e.g. {example}); cannot clear"
             )
-        self._invalidate_head_cache()
         return self.tree.clear_root_section(root_literal)
 
     # ------------------------------------------------------------------
@@ -1481,7 +1202,7 @@ class TagSortRetrieveCircuit:
         Bundles the three structures' snapshots (tree markers,
         translation entries, linked-list storage including the threaded
         free list) with the circuit-level registers: cycle/operation
-        accounting, the verification shadow, and the Fig. 6 per-section
+        accounting, the handle registry, and the Fig. 6 per-section
         occupancy counters.  Restoring the snapshot — into this process
         or another — resumes the exact service order, accounting, and
         invariant state.  Tracer attachment is deliberately *not* part
@@ -1492,7 +1213,6 @@ class TagSortRetrieveCircuit:
             "config": self.describe(),
             "cycles": self.cycles,
             "operations": self.operations,
-            "live_tags": sorted(self._live_tags.items()),
             "handles": sorted(self._handles.items()),
             "section_live": list(self._section_live),
             "tree": self.tree.to_state(),
@@ -1504,23 +1224,22 @@ class TagSortRetrieveCircuit:
         """Restore a :meth:`to_state` snapshot into this instance.
 
         The circuit must have been constructed with the same
-        configuration (:meth:`describe` must match the snapshot's).
-        Internal :class:`AccessStats` objects are mutated in place, so
-        the stats registry and any attached tracer stay live.
+        configuration (:meth:`describe` must match the snapshot's, once
+        the keys older writers emitted are dropped — see
+        :func:`~repro.core.engine.read_legacy_keys`).  The engine is a
+        hosting-process choice, like tracer attachment, so any flavour
+        restores any flavour's snapshot.  Internal :class:`AccessStats`
+        objects are mutated in place, so the stats registry and any
+        attached tracer stay live.
         """
+        from .engine import read_legacy_keys  # noqa: PLC0415 - import cycle
+
         if state.get("kind") != "sort_retrieve_circuit":
             raise ConfigurationError(
                 f"not a circuit snapshot: kind={state.get('kind')!r}"
             )
-        snapshot_config = dict(state["config"])
-        mine = self.describe()
-        # The turbo engine is a hosting-process choice (like tracer
-        # attachment), not circuit identity: a gate-recorded checkpoint
-        # may resume under turbo and vice versa.  Pre-turbo snapshots
-        # lack the key entirely.
-        snapshot_config.pop("turbo", None)
-        mine.pop("turbo", None)
-        if snapshot_config != mine:
+        _, snapshot_config = read_legacy_keys(state["config"])
+        if snapshot_config != self.describe():
             raise ConfigurationError(
                 f"snapshot config {state['config']} does not match this "
                 f"circuit's {self.describe()}"
@@ -1530,9 +1249,6 @@ class TagSortRetrieveCircuit:
         self.storage.load_state(state["storage"])
         self.cycles = state["cycles"]
         self.operations = state["operations"]
-        self._live_tags = Counter(dict(
-            (tag, count) for tag, count in state["live_tags"]
-        ))
         handles = state.get("handles")
         if handles is None:
             # Pre-dynamic-update snapshot: rebuild the handle registry
@@ -1546,7 +1262,6 @@ class TagSortRetrieveCircuit:
                 int(address): tag for address, tag in handles
             }
         self._section_live = list(state["section_live"])
-        self._invalidate_head_cache()
 
     @classmethod
     def from_state(
@@ -1558,9 +1273,11 @@ class TagSortRetrieveCircuit:
     ) -> "TagSortRetrieveCircuit":
         """Reconstruct a circuit from a :meth:`to_state` snapshot.
 
-        ``matcher_factory`` is behaviour, not state, so the caller
-        supplies it (the default matches the default constructor); a
-        ``tracer`` may be attached to the restored circuit directly.
+        The class picks the engine (``FusedSortRetrieveCircuit.from_state``
+        restores under turbo).  ``matcher_factory`` is behaviour, not
+        state, so the caller supplies it (the default matches the
+        default constructor); a ``tracer`` may be attached to the
+        restored circuit directly.
         """
         config = state["config"]
         fmt = WordFormat(
@@ -1572,8 +1289,6 @@ class TagSortRetrieveCircuit:
             matcher_factory=matcher_factory,
             eager_marker_removal=config["eager_marker_removal"],
             modular=config["modular"],
-            fast_mode=config["fast_mode"],
-            turbo=config.get("turbo", False),
         )
         circuit.load_state(state)
         if tracer is not None:
@@ -1586,25 +1301,16 @@ class TagSortRetrieveCircuit:
     def check_invariants(self) -> None:
         """Deep-verify tree, storage, and cross-structure consistency.
 
-        In fast mode the independent ``_live_tags`` shadow is disabled,
-        so the shadow-vs-storage multiset comparison is skipped; every
-        other check (structure invariants, marker coverage, newest-
-        duplicate translation pointers, section occupancy counters)
-        still runs against the authoritative storage walk.
+        Everything is checked against the authoritative storage walk:
+        the structure invariants, the handle registry (address -> tag,
+        which implies the stored tag multiset), marker coverage, the
+        section occupancy counters, and the newest-duplicate translation
+        pointers.
         """
         self.storage.check_invariants()
         self.tree.check_invariants()
         walked = self.storage.walk()
         stored = [tag for tag, _ in walked]
-        if self.modular:
-            stored = sorted(stored)
-        if not self._fast_mode:
-            live = sorted(self._live_tags.elements())
-            if live != stored:
-                raise ProtocolError(
-                    f"shadow tag multiset diverged from storage: "
-                    f"{live[:8]}... vs {stored[:8]}..."
-                )
         expected_handles = {address: tag for tag, address in walked}
         if self._handles != expected_handles:
             extra = sorted(set(self._handles) - set(expected_handles))
@@ -1645,3 +1351,21 @@ class TagSortRetrieveCircuit:
                     f"translation entry for {value} points at {recorded}, "
                     f"newest duplicate is at {address}"
                 )
+
+
+class FusedSortRetrieveCircuit(TagSortRetrieveCircuit):
+    """The turbo engine: the same circuit over the fused structures.
+
+    Every operation is :class:`TagSortRetrieveCircuit`'s own; only the
+    structure primitives differ.  :class:`~repro.core.tree.FusedMultiBitTree`,
+    :class:`~repro.core.translation.FusedTranslationTable` and
+    :class:`~repro.core.tag_storage.FusedTagStorageMemory` override the
+    per-operation methods with raw-cell versions that charge the same
+    reads and writes, so cycles, access counters, served order and
+    snapshots equal the gate reference's.
+    """
+
+    mode = "turbo"
+    tree_class = FusedMultiBitTree
+    translation_class = FusedTranslationTable
+    storage_class = FusedTagStorageMemory

@@ -28,6 +28,12 @@ Two fidelity notes relative to the paper's prose:
 Insert cost is exactly the Fig. 9 sequence — two reads and two writes —
 and the simultaneous insert+dequeue of Section III-C reuses the departing
 head's slot within the same four accesses.
+
+:class:`TagStorageMemory` is the gate-accurate reference (every access
+through :class:`~repro.hwsim.memory.SinglePortSRAM`);
+:class:`FusedTagStorageMemory` (the turbo engine's flavour) overrides
+the per-operation methods with in-place versions that charge the same
+accesses.
 """
 
 from __future__ import annotations
@@ -463,8 +469,8 @@ class TagStorageMemory:
             next_address = link.next_address
             next_tag = link.next_tag
             # Recycle the resident Link in place — the same free-list
-            # discipline as ``_free`` / ``turbo_dequeue_min`` — so batch
-            # and per-op retire paths thread identical cell objects.
+            # discipline as ``_free`` and the fused ``dequeue_min`` — so
+            # batch and per-op retire paths thread identical cell objects.
             link.tag = -1
             link.next_address = self._empty_head
             link.next_tag = None
@@ -658,237 +664,6 @@ class TagStorageMemory:
         return victim.tag, victim.payload, cursor, predecessor.tag, reads
 
     # ------------------------------------------------------------------
-    # turbo hot paths (access-fused, accounting-identical)
-    #
-    # Each turbo_* method performs the exact same link-list transition as
-    # its gate-accurate twin above and charges the exact same reads and
-    # writes to the same AccessStats counters — it just skips the
-    # per-access memory-object indirection (check_address, port claims,
-    # record_read/record_write calls) and mutates resident Link objects
-    # in place instead of allocating fresh ones.  Nothing aliases the
-    # cell-resident links (peek/walk return or copy fields, and the gate
-    # paths always *replace* cells with fresh Links), so in-place
-    # mutation is observationally identical.
-
-    def turbo_insert_after(
-        self, predecessor_address: int, tag: int, payload: Any = None
-    ) -> int:
-        """Access-fused :meth:`insert_after` (same Fig. 9 accounting)."""
-        if self._count >= self.capacity:
-            raise CapacityError(
-                f"tag storage full ({self.capacity} links in use)"
-            )
-        cells = self._memory._cells
-        reads = 1  # the predecessor read (access 2)
-        recycled = None
-        if not self._init_counter.saturated:
-            address = self._init_counter.take()  # access 1: counter, free
-        else:
-            address = self._empty_head
-            if address is None:
-                raise StorageCorruptionError(
-                    "counter exhausted and empty list empty, "
-                    "but count < capacity"
-                )
-            reads += 1  # access 1: read a free location
-            recycled = cells[address]
-            self._empty_head = recycled.next_address
-        predecessor = cells[predecessor_address]
-        if predecessor.tag > tag and not self.modular:
-            raise ConfigurationError(
-                f"sorted-order violation: inserting {tag} after "
-                f"{predecessor.tag}"
-            )
-        if recycled is None:
-            cells[address] = Link(
-                tag=tag,
-                next_address=predecessor.next_address,
-                next_tag=predecessor.next_tag,
-                payload=payload,
-            )
-        else:
-            # Free-list slots keep their resident Link object: nothing
-            # aliases a freed link, so rewriting it in place is the
-            # hardware's access-4 cell write without an allocation.
-            recycled.tag = tag
-            recycled.next_address = predecessor.next_address
-            recycled.next_tag = predecessor.next_tag
-            recycled.payload = payload
-        predecessor.next_address = address  # access 3 (in-place rewrite)
-        predecessor.next_tag = tag
-        stats = self._memory.stats
-        stats.reads += reads
-        stats.writes += 2  # accesses 3 and 4
-        self._count += 1
-        return address
-
-    def turbo_dequeue_min(self) -> Tuple[int, Any, int]:
-        """Access-fused :meth:`dequeue_min` (one read + one write)."""
-        if self._count == 0:
-            raise EmptyStructureError("dequeue from an empty tag storage")
-        address = self._head_address
-        link = self._memory._cells[address]
-        served = (link.tag, link.payload, address)
-        self._head_address = link.next_address
-        self._head_tag = link.next_tag
-        # Thread the freed slot onto the empty list by rewriting the
-        # departing link in place (the gate path writes a fresh Link).
-        link.tag = -1
-        link.next_address = self._empty_head
-        link.next_tag = None
-        link.payload = None
-        self._empty_head = address
-        stats = self._memory.stats
-        stats.reads += 1
-        stats.writes += 1
-        self._count -= 1
-        return served
-
-    def turbo_replace_min(
-        self, predecessor_address: Optional[int], tag: int, payload: Any = None
-    ) -> Tuple[int, Any, int, int]:
-        """Access-fused :meth:`replace_min` (same branch-by-branch costs)."""
-        if self._count == 0:
-            raise EmptyStructureError("replace_min on an empty tag storage")
-        cells = self._memory._cells
-        stats = self._memory.stats
-        head_address = self._head_address
-        head = cells[head_address]
-        stats.reads += 1  # access 1: serves + frees
-        served = (head.tag, head.payload, head_address)
-        self._head_address = head.next_address
-        self._head_tag = head.next_tag
-        self._count -= 1
-
-        if self._count == 0:
-            # The memory emptied; the incoming tag restarts the list in
-            # the reused slot.
-            head.tag = tag
-            head.next_address = None
-            head.next_tag = None
-            head.payload = payload
-            stats.writes += 1
-            self._head_address = head_address
-            self._head_tag = tag
-            self._count += 1
-            return served[0], served[1], served[2], head_address
-
-        if predecessor_address == head_address or predecessor_address is None:
-            if self._head_tag is not None and tag <= self._head_tag:
-                # New head in the reused slot.
-                head.tag = tag
-                head.next_address = self._head_address
-                head.next_tag = self._head_tag
-                head.payload = payload
-                stats.writes += 1
-                self._head_address = head_address
-                self._head_tag = tag
-                self._count += 1
-                return served[0], served[1], served[2], head_address
-            # The served head was the predecessor; the new tag now follows
-            # the new head instead.
-            predecessor_address = self._head_address
-
-        predecessor = cells[predecessor_address]
-        stats.reads += 1  # access 2
-        if predecessor.tag > tag and not self.modular:
-            raise ConfigurationError(
-                f"sorted-order violation: inserting {tag} after "
-                f"{predecessor.tag}"
-            )
-        # Reuse the departing head's slot for the new link (access 4),
-        # then splice the predecessor onto it (access 3).
-        head.tag = tag
-        head.next_address = predecessor.next_address
-        head.next_tag = predecessor.next_tag
-        head.payload = payload
-        predecessor.next_address = head_address
-        predecessor.next_tag = tag
-        stats.writes += 2
-        self._count += 1
-        return served[0], served[1], served[2], head_address
-
-    def turbo_remove_at(
-        self, address: int, predecessor_address: Optional[int]
-    ) -> Tuple[int, Any]:
-        """Access-fused :meth:`remove_at` (same branch-by-branch costs)."""
-        if self._count == 0:
-            raise EmptyStructureError("remove from an empty tag storage")
-        if predecessor_address is None:
-            if address != self._head_address:
-                raise ConfigurationError(
-                    f"remove_at: address {address} is not the head but no "
-                    "predecessor was supplied"
-                )
-            tag, payload, _ = self.turbo_dequeue_min()
-            return tag, payload
-        cells = self._memory._cells
-        stats = self._memory.stats
-        predecessor = cells[predecessor_address]
-        if predecessor.next_address != address:
-            raise ConfigurationError(
-                f"remove_at: link {predecessor_address} does not precede "
-                f"{address}"
-            )
-        victim = cells[address]
-        removed = (victim.tag, victim.payload)
-        predecessor.next_address = victim.next_address  # access 3
-        predecessor.next_tag = victim.next_tag
-        # Access 4: recycle the victim's resident Link onto the empty list.
-        victim.tag = -1
-        victim.next_address = self._empty_head
-        victim.next_tag = None
-        victim.payload = None
-        self._empty_head = address
-        stats.reads += 2  # accesses 1 and 2
-        stats.writes += 2
-        self._count -= 1
-        return removed
-
-    def turbo_unlink(
-        self, address: int, start_address: int
-    ) -> Tuple[int, Any, int, int, int]:
-        """Access-fused :meth:`unlink` (same walk and splice costs)."""
-        if self._count == 0:
-            raise EmptyStructureError("remove from an empty tag storage")
-        if address == self._head_address or address == start_address:
-            raise ConfigurationError(
-                f"unlink needs a strict predecessor anchor for address "
-                f"{address} (got start {start_address})"
-            )
-        cells = self._memory._cells
-        stats = self._memory.stats
-        reads = 0
-        cursor = start_address
-        predecessor = cells[cursor]
-        reads += 1
-        while predecessor.next_address != address:
-            if predecessor.next_address is None or reads > self.capacity:
-                raise StorageCorruptionError(
-                    f"address {address} not reachable from {start_address}"
-                )
-            cursor = predecessor.next_address
-            predecessor = cells[cursor]
-            reads += 1
-        victim = cells[address]
-        reads += 1
-        removed_tag = victim.tag
-        removed_payload = victim.payload
-        predecessor_tag = predecessor.tag
-        predecessor.next_address = victim.next_address
-        predecessor.next_tag = victim.next_tag
-        # Recycle the victim's resident Link onto the empty list.
-        victim.tag = -1
-        victim.next_address = self._empty_head
-        victim.next_tag = None
-        victim.payload = None
-        self._empty_head = address
-        stats.reads += reads
-        stats.writes += 2
-        self._count -= 1
-        return removed_tag, removed_payload, cursor, predecessor_tag, reads
-
-    # ------------------------------------------------------------------
     # checkpoint / restore
 
     def to_state(self) -> dict:
@@ -1035,3 +810,240 @@ class TagStorageMemory:
                 f"slot accounting broken: {free} free + {unallocated} "
                 f"unallocated + {self._count} live != {self.capacity}"
             )
+
+class FusedTagStorageMemory(TagStorageMemory):
+    """The storage's per-operation methods fused (``--mode turbo``).
+
+    Each override performs the exact same linked-list transition as the
+    reference method and charges the exact same reads and writes to the
+    same :class:`AccessStats` counter; it skips the per-access memory
+    object (address check, port claim, ``record_read``/``record_write``
+    calls) and rewrites the resident :class:`Link` objects in place
+    instead of allocating fresh ones.  Nothing aliases a cell-resident
+    link (``peek``/``walk`` return or copy fields, and the reference
+    methods always *replace* cells), so in-place mutation is
+    observationally identical.
+    """
+
+    def insert_after(
+        self, predecessor_address: int, tag: int, payload: Any = None
+    ) -> int:
+        """Fused :meth:`TagStorageMemory.insert_after`:
+        same Fig. 9 accounting."""
+        if self._count >= self.capacity:
+            raise CapacityError(
+                f"tag storage full ({self.capacity} links in use)"
+            )
+        cells = self._memory._cells
+        reads = 1  # the predecessor read (access 2)
+        recycled = None
+        if not self._init_counter.saturated:
+            address = self._init_counter.take()  # access 1: counter, free
+        else:
+            address = self._empty_head
+            if address is None:
+                raise StorageCorruptionError(
+                    "counter exhausted and empty list empty, "
+                    "but count < capacity"
+                )
+            reads += 1  # access 1: read a free location
+            recycled = cells[address]
+            self._empty_head = recycled.next_address
+        predecessor = cells[predecessor_address]
+        if predecessor.tag > tag and not self.modular:
+            raise ConfigurationError(
+                f"sorted-order violation: inserting {tag} after "
+                f"{predecessor.tag}"
+            )
+        if recycled is None:
+            cells[address] = Link(
+                tag=tag,
+                next_address=predecessor.next_address,
+                next_tag=predecessor.next_tag,
+                payload=payload,
+            )
+        else:
+            # Free-list slots keep their resident Link object: nothing
+            # aliases a freed link, so rewriting it in place is the
+            # hardware's access-4 cell write without an allocation.
+            recycled.tag = tag
+            recycled.next_address = predecessor.next_address
+            recycled.next_tag = predecessor.next_tag
+            recycled.payload = payload
+        predecessor.next_address = address  # access 3 (in-place rewrite)
+        predecessor.next_tag = tag
+        stats = self._memory.stats
+        stats.reads += reads
+        stats.writes += 2  # accesses 3 and 4
+        self._count += 1
+        return address
+
+    def dequeue_min(self) -> Tuple[int, Any, int]:
+        """Fused :meth:`TagStorageMemory.dequeue_min`:
+        one read + one write."""
+        if self._count == 0:
+            raise EmptyStructureError("dequeue from an empty tag storage")
+        address = self._head_address
+        link = self._memory._cells[address]
+        served = (link.tag, link.payload, address)
+        self._head_address = link.next_address
+        self._head_tag = link.next_tag
+        # Thread the freed slot onto the empty list by rewriting the
+        # departing link in place (the gate path writes a fresh Link).
+        link.tag = -1
+        link.next_address = self._empty_head
+        link.next_tag = None
+        link.payload = None
+        self._empty_head = address
+        stats = self._memory.stats
+        stats.reads += 1
+        stats.writes += 1
+        self._count -= 1
+        return served
+
+    def replace_min(
+        self, predecessor_address: Optional[int], tag: int, payload: Any = None
+    ) -> Tuple[int, Any, int, int]:
+        """Fused :meth:`TagStorageMemory.replace_min`:
+        same branch-by-branch costs."""
+        if self._count == 0:
+            raise EmptyStructureError("replace_min on an empty tag storage")
+        cells = self._memory._cells
+        stats = self._memory.stats
+        head_address = self._head_address
+        head = cells[head_address]
+        stats.reads += 1  # access 1: serves + frees
+        served = (head.tag, head.payload, head_address)
+        self._head_address = head.next_address
+        self._head_tag = head.next_tag
+        self._count -= 1
+
+        if self._count == 0:
+            # The memory emptied; the incoming tag restarts the list in
+            # the reused slot.
+            head.tag = tag
+            head.next_address = None
+            head.next_tag = None
+            head.payload = payload
+            stats.writes += 1
+            self._head_address = head_address
+            self._head_tag = tag
+            self._count += 1
+            return served[0], served[1], served[2], head_address
+
+        if predecessor_address == head_address or predecessor_address is None:
+            if self._head_tag is not None and tag <= self._head_tag:
+                # New head in the reused slot.
+                head.tag = tag
+                head.next_address = self._head_address
+                head.next_tag = self._head_tag
+                head.payload = payload
+                stats.writes += 1
+                self._head_address = head_address
+                self._head_tag = tag
+                self._count += 1
+                return served[0], served[1], served[2], head_address
+            # The served head was the predecessor; the new tag now follows
+            # the new head instead.
+            predecessor_address = self._head_address
+
+        predecessor = cells[predecessor_address]
+        stats.reads += 1  # access 2
+        if predecessor.tag > tag and not self.modular:
+            raise ConfigurationError(
+                f"sorted-order violation: inserting {tag} after "
+                f"{predecessor.tag}"
+            )
+        # Reuse the departing head's slot for the new link (access 4),
+        # then splice the predecessor onto it (access 3).
+        head.tag = tag
+        head.next_address = predecessor.next_address
+        head.next_tag = predecessor.next_tag
+        head.payload = payload
+        predecessor.next_address = head_address
+        predecessor.next_tag = tag
+        stats.writes += 2
+        self._count += 1
+        return served[0], served[1], served[2], head_address
+
+    def remove_at(
+        self, address: int, predecessor_address: Optional[int]
+    ) -> Tuple[int, Any]:
+        """Fused :meth:`TagStorageMemory.remove_at`:
+        same branch-by-branch costs."""
+        if self._count == 0:
+            raise EmptyStructureError("remove from an empty tag storage")
+        if predecessor_address is None:
+            if address != self._head_address:
+                raise ConfigurationError(
+                    f"remove_at: address {address} is not the head but no "
+                    "predecessor was supplied"
+                )
+            tag, payload, _ = self.dequeue_min()
+            return tag, payload
+        cells = self._memory._cells
+        stats = self._memory.stats
+        predecessor = cells[predecessor_address]
+        if predecessor.next_address != address:
+            raise ConfigurationError(
+                f"remove_at: link {predecessor_address} does not precede "
+                f"{address}"
+            )
+        victim = cells[address]
+        removed = (victim.tag, victim.payload)
+        predecessor.next_address = victim.next_address  # access 3
+        predecessor.next_tag = victim.next_tag
+        # Access 4: recycle the victim's resident Link onto the empty list.
+        victim.tag = -1
+        victim.next_address = self._empty_head
+        victim.next_tag = None
+        victim.payload = None
+        self._empty_head = address
+        stats.reads += 2  # accesses 1 and 2
+        stats.writes += 2
+        self._count -= 1
+        return removed
+
+    def unlink(
+        self, address: int, start_address: int
+    ) -> Tuple[int, Any, int, int, int]:
+        """Fused :meth:`TagStorageMemory.unlink`:
+        same walk and splice costs."""
+        if self._count == 0:
+            raise EmptyStructureError("remove from an empty tag storage")
+        if address == self._head_address or address == start_address:
+            raise ConfigurationError(
+                f"unlink needs a strict predecessor anchor for address "
+                f"{address} (got start {start_address})"
+            )
+        cells = self._memory._cells
+        stats = self._memory.stats
+        reads = 0
+        cursor = start_address
+        predecessor = cells[cursor]
+        reads += 1
+        while predecessor.next_address != address:
+            if predecessor.next_address is None or reads > self.capacity:
+                raise StorageCorruptionError(
+                    f"address {address} not reachable from {start_address}"
+                )
+            cursor = predecessor.next_address
+            predecessor = cells[cursor]
+            reads += 1
+        victim = cells[address]
+        reads += 1
+        removed_tag = victim.tag
+        removed_payload = victim.payload
+        predecessor_tag = predecessor.tag
+        predecessor.next_address = victim.next_address
+        predecessor.next_tag = victim.next_tag
+        # Recycle the victim's resident Link onto the empty list.
+        victim.tag = -1
+        victim.next_address = self._empty_head
+        victim.next_tag = None
+        victim.payload = None
+        self._empty_head = address
+        stats.reads += reads
+        stats.writes += 2
+        self._count -= 1
+        return removed_tag, removed_payload, cursor, predecessor_tag, reads

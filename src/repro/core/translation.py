@@ -10,6 +10,10 @@ new duplicate is always inserted *after* the previous one.
 Size: one entry per representable value, ``b**L = 2**W`` entries
 (the paper's second eq. (2)); the silicon configuration needs 4096, the
 optional 15-bit variant would need 32 k.
+
+:class:`TranslationTable` is the gate-accurate reference;
+:class:`FusedTranslationTable` (the turbo engine's flavour) does each
+per-operation access on the raw cells with the same charge.
 """
 
 from __future__ import annotations
@@ -67,21 +71,6 @@ class TranslationTable:
         if address < 0:
             raise ConfigurationError("linked-list address must be non-negative")
         self._memory.write(tag_value, address)
-
-    def turbo_lookup(self, tag_value: int) -> Optional[int]:
-        """Access-fused :meth:`lookup` (one read, same counter).
-
-        The caller has already validated ``tag_value`` (turbo callers
-        only look up values the tree itself produced), so the fused path
-        is the raw cell fetch plus the read charge.
-        """
-        self._memory.stats.reads += 1
-        return self._memory._cells[tag_value]
-
-    def turbo_record(self, tag_value: int, address: int) -> None:
-        """Access-fused :meth:`record` (one write, same counter)."""
-        self._memory._cells[tag_value] = address
-        self._memory.stats.writes += 1
 
     def invalidate(self, tag_value: int) -> None:
         """Drop the entry for ``tag_value`` (its last duplicate departed)."""
@@ -148,3 +137,25 @@ class TranslationTable:
             self._memory.write(tag_value, None)
             return True
         return False
+
+
+class FusedTranslationTable(TranslationTable):
+    """The table's per-operation accesses on the raw cells (``--mode turbo``).
+
+    Each method is one cell access plus its charge on the same
+    :class:`AccessStats` counter as the reference.  Callers pass only
+    values the tree produced or the circuit validated, so the value
+    check is skipped.
+    """
+
+    def lookup(self, tag_value: int) -> Optional[int]:
+        self._memory.stats.reads += 1
+        return self._memory._cells[tag_value]
+
+    def record(self, tag_value: int, address: int) -> None:
+        self._memory._cells[tag_value] = address
+        self._memory.stats.writes += 1
+
+    def invalidate(self, tag_value: int) -> None:
+        self._memory._cells[tag_value] = None
+        self._memory.stats.writes += 1

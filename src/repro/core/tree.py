@@ -28,6 +28,12 @@ registers, deeper levels in single-port SRAM
 (:func:`repro.hwsim.memory.make_tree_level_memory`).  Stale-section
 deletion for the wrapping tag space (Fig. 6) is provided by
 :meth:`clear_root_section`.
+
+:class:`MultiBitTree` is the gate-accurate reference: every node fetch
+goes through the level memory's ``read``/``write`` and every search
+through the matcher circuits.  :class:`FusedMultiBitTree` (the turbo
+engine's flavour) overrides only the two per-operation methods with
+raw-cell versions that charge the same accesses.
 """
 
 from __future__ import annotations
@@ -133,19 +139,6 @@ class MultiBitTree:
             matcher_factory(b) for _ in range(fmt.levels)
         ]
         self._count = 0
-        #: cached ``fmt.max_value`` so the turbo paths can bounds-check
-        #: without walking the word-format property chain per call.
-        self._turbo_max = fmt.max_value
-        #: per-level ``(cells, stats)`` pairs for the fused walks.  Both
-        #: objects are identity-stable for the memory's lifetime (every
-        #: reset path — clear_all, section clears, load_state — mutates
-        #: them in place), so the hot loops skip two attribute hops per
-        #: level per access.
-        self._turbo_walk = tuple(
-            (level._cells, level.stats) for level in self._levels
-        )
-        self._turbo_depth = len(self._turbo_walk)
-        self._turbo_shift0 = (self._turbo_depth - 1) * fmt.literal_bits
         #: instrumentation of the most recent :meth:`search` (telemetry
         #: probe: lets a tracer report backup-path activations without
         #: re-running the search).
@@ -283,37 +276,6 @@ class MultiBitTree:
                 )
         self._count += added
         return added
-
-    def insert_marker_fast(self, value: int) -> bool:
-        """Turbo variant of :meth:`insert_marker`: same state transition,
-        same per-level accounting (one read per level, one write per
-        newly set bit), minus the memory-object indirection.  The node
-        words are touched through the raw cell arrays and the access
-        charges land directly on each level's :class:`AccessStats`.
-        """
-        fmt = self.fmt
-        if not (isinstance(value, int) and 0 <= value <= self._turbo_max):
-            fmt.check_value(value)  # raises the canonical error
-        k = fmt.literal_bits
-        b = 1 << k
-        lit_mask = b - 1
-        walk = self._turbo_walk
-        shift = self._turbo_shift0
-        prefix = 0
-        new_marker = False
-        for cells, stats in walk:
-            literal = (value >> shift) & lit_mask
-            shift -= k
-            node = cells[prefix] or 0
-            stats.reads += 1
-            if not node >> literal & 1:
-                cells[prefix] = node | (1 << literal)
-                stats.writes += 1
-                new_marker = True
-            prefix = prefix * b + literal
-        if new_marker:
-            self._count += 1
-        return new_marker
 
     def remove_marker(self, value: int) -> bool:
         """Unmark ``value``; prunes now-empty ancestors bottom-up.
@@ -463,174 +425,6 @@ class MultiBitTree:
         outcome.result = self.fmt.combine(outcome.path_literals)
         outcome.exact = outcome.result == key
         return outcome
-
-    def search_fast(self, key: int) -> SearchOutcome:
-        """Turbo variant of :meth:`search`: identical outcome, identical
-        per-level access accounting, computed with machine-word bit
-        tricks instead of the structural matcher circuits.
-
-        Every visited level is charged exactly one sequential read (the
-        hardware always performs the fixed-time node fetch); a primary
-        failure charges the backup descent's parallel reads level by
-        level, just like :meth:`_follow_backup`.  The per-node
-        primary/backup encode is the
-        :meth:`~repro.core.matching.base.MatchingCircuit.search_fast`
-        kernel inlined, so a full search does no matcher-object calls
-        and no :class:`MatchResult` allocations at all.
-        """
-        fmt = self.fmt
-        if not (isinstance(key, int) and 0 <= key <= self._turbo_max):
-            fmt.check_value(key)  # raises the canonical error
-        outcome = SearchOutcome(key=key, result=None)
-        self.last_outcome = outcome
-        k = fmt.literal_bits
-        b = 1 << k
-        levels = self._levels
-        depth = len(levels)
-        lit_mask = b - 1
-        shift = (depth - 1) * k
-        path = outcome.path_literals
-        # Deepest backup recorded so far, as scalars (the gate model
-        # keeps a list; only the last entry is ever followed).
-        backup_level = -1
-        backup_prefix = 0
-        backup_bit = 0
-        prefix = 0
-        exact = True
-        sequential = 0
-        for level in range(depth):
-            memory = levels[level]
-            node = memory._cells[prefix] or 0
-            memory.stats.reads += 1
-            sequential += 1
-            if exact:
-                target = (key >> shift) & lit_mask
-                shift -= k
-                masked = node & ((2 << target) - 1)
-                if not masked:
-                    # Primary search failed (Fig. 5 point A): take the
-                    # deepest backup recorded so far.
-                    outcome.sequential_node_reads = sequential
-                    outcome.fail_level = level
-                    outcome.used_backup = True
-                    if backup_level < 0:
-                        # No smaller value exists anywhere: under WFQ
-                        # this only happens when the tree is empty
-                        # (initialization mode).
-                        return outcome
-                    new_path = path[:backup_level]
-                    new_path.append(backup_bit)
-                    bprefix = backup_prefix * b + backup_bit
-                    for deeper in range(backup_level + 1, depth):
-                        deep_memory = levels[deeper]
-                        deep_node = deep_memory._cells[bprefix] or 0
-                        deep_memory.stats.reads += 1
-                        outcome.parallel_node_reads += 1
-                        if not deep_node:
-                            raise TreeInvariantError(
-                                f"empty node on backup path at level {deeper}"
-                            )
-                        top = deep_node.bit_length() - 1
-                        new_path.append(top)
-                        bprefix = bprefix * b + top
-                    outcome.path_literals = new_path
-                    # After a full descent the running prefix *is* the
-                    # reassembled tag (prefix accumulates literal-by-
-                    # literal in base b), so no combine() call is needed.
-                    outcome.result = bprefix
-                    return outcome
-                primary = masked.bit_length() - 1
-                below = masked ^ (1 << primary)
-                if below:
-                    backup_level = level
-                    backup_prefix = prefix
-                    backup_bit = below.bit_length() - 1
-                path.append(primary)
-                if primary != target:
-                    # Non-exact: deeper levels follow their maxima.
-                    exact = False
-                prefix = prefix * b + primary
-            else:
-                if not node:
-                    raise TreeInvariantError(
-                        f"empty node at level {level}, prefix {prefix:#x} "
-                        "below a set marker bit"
-                    )
-                top = node.bit_length() - 1
-                path.append(top)
-                prefix = prefix * b + top
-        outcome.sequential_node_reads = sequential
-        outcome.result = prefix
-        outcome.exact = prefix == key
-        return outcome
-
-    def closest_fast(self, key: int) -> Optional[int]:
-        """Result-only :meth:`search_fast`: the closest marked value at
-        or below ``key`` (or ``None``), with the identical per-level
-        read accounting, but no :class:`SearchOutcome` and no path-list
-        allocation.  The untraced turbo insert path uses this — nothing
-        consumes :attr:`last_outcome` between untraced operations, so
-        building it per insert is pure overhead (it is cleared here so a
-        stale probe can never be misread).
-        """
-        fmt = self.fmt
-        if not (isinstance(key, int) and 0 <= key <= self._turbo_max):
-            fmt.check_value(key)  # raises the canonical error
-        self.last_outcome = None
-        k = fmt.literal_bits
-        b = 1 << k
-        walk = self._turbo_walk
-        depth = self._turbo_depth
-        lit_mask = b - 1
-        shift = self._turbo_shift0
-        backup_level = -1
-        backup_prefix = 0
-        backup_bit = 0
-        prefix = 0
-        level = 0
-        # Exact phase: follow the key's literals while they match.
-        for cells, stats in walk:
-            node = cells[prefix] or 0
-            stats.reads += 1
-            target = (key >> shift) & lit_mask
-            shift -= k
-            masked = node & ((2 << target) - 1)
-            if not masked:
-                if backup_level < 0:
-                    return None
-                bprefix = backup_prefix * b + backup_bit
-                for deeper in range(backup_level + 1, depth):
-                    deep_cells, deep_stats = walk[deeper]
-                    deep_node = deep_cells[bprefix] or 0
-                    deep_stats.reads += 1
-                    if not deep_node:
-                        raise TreeInvariantError(
-                            f"empty node on backup path at level {deeper}"
-                        )
-                    bprefix = bprefix * b + (deep_node.bit_length() - 1)
-                return bprefix
-            primary = masked.bit_length() - 1
-            below = masked ^ (1 << primary)
-            if below:
-                backup_level = level
-                backup_prefix = prefix
-                backup_bit = below.bit_length() - 1
-            prefix = prefix * b + primary
-            level += 1
-            if primary != target:
-                break
-        # Non-exact tail: deeper levels follow their maximum set bits.
-        for deeper in range(level, depth):
-            cells, stats = walk[deeper]
-            node = cells[prefix] or 0
-            stats.reads += 1
-            if not node:
-                raise TreeInvariantError(
-                    f"empty node at level {deeper}, prefix {prefix:#x} "
-                    "below a set marker bit"
-                )
-            prefix = prefix * b + (node.bit_length() - 1)
-        return prefix
 
     def _follow_backup(
         self,
@@ -795,3 +589,125 @@ class MultiBitTree:
                             f"clear bit over non-empty child: level {level}, "
                             f"prefix {prefix}, literal {literal}"
                         )
+
+
+class FusedMultiBitTree(MultiBitTree):
+    """The tree with its two per-operation methods fused (``--mode turbo``).
+
+    :meth:`closest_at_most` and :meth:`insert_marker` reach the same
+    answers and charge the same per-level reads and writes as the
+    reference methods, but they touch each level's raw cell list and
+    :class:`AccessStats` directly, and the search replaces the matcher
+    circuits with machine-word bit tricks: mask the node above the
+    target literal, take the highest set bit as the primary match, strip
+    it, and take the next as the backup.  That is the function every
+    matcher topology computes (``tests/core/test_matching_fast.py``
+    holds them equal).  Every other method, :meth:`search` and its
+    :class:`SearchOutcome` included, is the reference one.
+    """
+
+    def __init__(self, fmt: WordFormat, **kwargs) -> None:
+        super().__init__(fmt, **kwargs)
+        #: per-level ``(cells, stats)`` pairs.  Both objects are
+        #: identity-stable for the memory's lifetime (every reset path —
+        #: clear_all, section clears, load_state — mutates them in
+        #: place), so the loops skip two attribute hops per level.
+        self._level_cells = tuple(
+            (level._cells, level.stats) for level in self._levels
+        )
+        self._max_value = fmt.max_value
+        self._literal_bits = fmt.literal_bits
+        self._root_shift = (fmt.levels - 1) * fmt.literal_bits
+
+    def insert_marker(self, value: int) -> bool:
+        """:meth:`MultiBitTree.insert_marker` on the raw cells: one read
+        per level, one write per newly set bit."""
+        if not (type(value) is int and 0 <= value <= self._max_value):
+            self.fmt.check_value(value)  # raises the canonical error
+        k = self._literal_bits
+        b = 1 << k
+        lit_mask = b - 1
+        shift = self._root_shift
+        prefix = 0
+        new_marker = False
+        for cells, stats in self._level_cells:
+            literal = (value >> shift) & lit_mask
+            shift -= k
+            node = cells[prefix] or 0
+            stats.reads += 1
+            if not node >> literal & 1:
+                cells[prefix] = node | (1 << literal)
+                stats.writes += 1
+                new_marker = True
+            prefix = prefix * b + literal
+        if new_marker:
+            self._count += 1
+        return new_marker
+
+    def closest_at_most(self, key: int) -> Optional[int]:
+        """:meth:`MultiBitTree.closest_at_most` without the matchers.
+
+        One sequential read per visited level, plus the backup descent's
+        parallel reads after a primary failure, exactly as
+        :meth:`search` charges them; no :class:`SearchOutcome` is built
+        (:attr:`last_outcome` is cleared so a stale probe is never read).
+        """
+        if not (type(key) is int and 0 <= key <= self._max_value):
+            self.fmt.check_value(key)  # raises the canonical error
+        self.last_outcome = None
+        k = self._literal_bits
+        b = 1 << k
+        walk = self._level_cells
+        depth = len(walk)
+        lit_mask = b - 1
+        shift = self._root_shift
+        backup_level = -1
+        backup_prefix = 0
+        backup_bit = 0
+        prefix = 0
+        level = 0
+        # Exact phase: follow the key's literals while they match.
+        for cells, stats in walk:
+            node = cells[prefix] or 0
+            stats.reads += 1
+            target = (key >> shift) & lit_mask
+            shift -= k
+            masked = node & ((2 << target) - 1)
+            if not masked:
+                # Primary search failed (Fig. 5 point A): descend from
+                # the deepest backup along maximum set bits.
+                if backup_level < 0:
+                    return None
+                bprefix = backup_prefix * b + backup_bit
+                for deeper in range(backup_level + 1, depth):
+                    deep_cells, deep_stats = walk[deeper]
+                    deep_node = deep_cells[bprefix] or 0
+                    deep_stats.reads += 1
+                    if not deep_node:
+                        raise TreeInvariantError(
+                            f"empty node on backup path at level {deeper}"
+                        )
+                    bprefix = bprefix * b + (deep_node.bit_length() - 1)
+                return bprefix
+            primary = masked.bit_length() - 1
+            below = masked ^ (1 << primary)
+            if below:
+                backup_level = level
+                backup_prefix = prefix
+                backup_bit = below.bit_length() - 1
+            prefix = prefix * b + primary
+            level += 1
+            if primary != target:
+                break
+        # Non-exact tail: deeper levels follow their maximum set bits.
+        for deeper in range(level, depth):
+            cells, stats = walk[deeper]
+            node = cells[prefix] or 0
+            stats.reads += 1
+            if not node:
+                raise TreeInvariantError(
+                    f"empty node at level {deeper}, prefix {prefix:#x} "
+                    "below a set marker bit"
+                )
+            prefix = prefix * b + (node.bit_length() - 1)
+        return prefix

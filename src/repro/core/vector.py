@@ -55,7 +55,7 @@ from ..hwsim.errors import (
 )
 from ..hwsim.stats import AccessStats, StatsRegistry
 from ..obs.tracer import NULL_TRACER
-from .engine import require_numpy
+from .engine import read_legacy_keys, require_numpy
 from .sort_retrieve import FIXED_OP_CYCLES, ServedTag
 
 #: ``tuple.__new__`` bound once: building a ServedTag per served entry is
@@ -162,7 +162,6 @@ class VectorSortRetrieveCircuit:
 
     mode = "vector"
     fault_injection = None
-    head_cache_hits = 0  # gate telemetry knob; the vector engine has no cache
 
     def __init__(
         self,
@@ -171,7 +170,6 @@ class VectorSortRetrieveCircuit:
         capacity: int = 4096,
         eager_marker_removal: bool = False,
         modular: bool = False,
-        fast_mode: bool = False,
         tracer=None,
     ) -> None:
         np = require_numpy("--mode vector (the array data-plane engine)")
@@ -186,7 +184,6 @@ class VectorSortRetrieveCircuit:
         self.capacity = capacity
         self.eager_marker_removal = eager_marker_removal
         self.modular = modular
-        self._fast_mode = bool(fast_mode)
         self._tag_space = fmt.capacity
         self._half_space = fmt.capacity // 2
         self._section_bits = fmt.word_bits - fmt.literal_bits
@@ -257,27 +254,6 @@ class VectorSortRetrieveCircuit:
         return self._count == 0
 
     @property
-    def fast_mode(self) -> bool:
-        """Shadow-skip flag; the vector engine keeps no shadow either way."""
-        return self._fast_mode
-
-    @fast_mode.setter
-    def fast_mode(self, enabled: bool) -> None:
-        self._fast_mode = bool(enabled)
-
-    @property
-    def turbo(self) -> bool:
-        """Always False: vector is its own engine, not a turbo variant."""
-        return False
-
-    @turbo.setter
-    def turbo(self, enabled: bool) -> None:
-        if bool(enabled):
-            raise ConfigurationError(
-                "the vector engine has no turbo variant (use mode='turbo')"
-            )
-
-    @property
     def live_handles(self) -> int:
         """Number of live handles (equals :attr:`count` by invariant)."""
         return self._count
@@ -316,8 +292,6 @@ class VectorSortRetrieveCircuit:
             "capacity": self.capacity,
             "modular": self.modular,
             "eager_marker_removal": self.eager_marker_removal,
-            "fast_mode": self._fast_mode,
-            "turbo": False,
         }
 
     # ------------------------------------------------------------------
@@ -538,8 +512,8 @@ class VectorSortRetrieveCircuit:
         accounting follow inline.  A check that fails hands over to its
         helper for the exact error.
         """
-        if not isinstance(tag, int) or not 0 <= tag < self._tag_space:
-            self.fmt.check_value(tag)
+        if type(tag) is not int or not 0 <= tag < self._tag_space:
+            self.fmt.check_value(tag)  # raises the canonical error
         head = self._head_tag
         if head is not None and not self.eager_marker_removal:
             if self.modular:
@@ -739,10 +713,17 @@ class VectorSortRetrieveCircuit:
             arr = np.asarray(tags)
         except (TypeError, ValueError, OverflowError):
             arr = None
-        if arr is None or arr.ndim != 1 or arr.dtype.kind not in ("i", "u"):
-            # Non-integer elements (floats, strings, oversized python
-            # ints → object dtype): fall back to the scalar validator
-            # for its exact per-tag message.
+        if (
+            arr is None
+            or arr.ndim != 1
+            or arr.dtype.kind not in ("i", "u")
+            # numpy folds a bool among ints into 0 or 1, so only a
+            # batch holding those values is scanned for one.
+            or ((arr <= 1).any() and bool in map(type, tags))
+        ):
+            # Non-integer elements (floats, strings, bools, oversized
+            # python ints → object dtype): fall back to the scalar
+            # validator for its exact per-tag message.
             for tag in tags:
                 self.fmt.check_value(tag)
             arr = np.asarray([int(tag) for tag in tags], dtype=np.int64)
@@ -1332,13 +1313,6 @@ class VectorSortRetrieveCircuit:
                 int(self._free_stack[position - 1]) if position else None
             )
             cells[address] = [-1, next_free, None, None]
-        live = np.flatnonzero(self._bucket_count)
-        if self._fast_mode:
-            live_tags: List[Tuple[int, int]] = []
-        else:
-            live_tags = [
-                (int(tag), int(self._bucket_count[tag])) for tag in live
-            ]
         handle_bits = np.unpackbits(
             self._occ.view(np.uint8), bitorder="little"
         )[: self.capacity]
@@ -1356,7 +1330,6 @@ class VectorSortRetrieveCircuit:
             "config": self.describe(),
             "cycles": self.cycles,
             "operations": self.operations,
-            "live_tags": live_tags,
             "handles": handles,
             "section_live": section_live,
             "tree": {
@@ -1403,11 +1376,8 @@ class VectorSortRetrieveCircuit:
             raise ConfigurationError(
                 f"not a circuit snapshot: kind={state.get('kind')!r}"
             )
-        snapshot_config = dict(state["config"])
-        mine = self.describe()
-        snapshot_config.pop("turbo", None)
-        mine.pop("turbo", None)
-        if snapshot_config != mine:
+        _, snapshot_config = read_legacy_keys(state["config"])
+        if snapshot_config != self.describe():
             raise ConfigurationError(
                 f"snapshot config {state['config']} does not match this "
                 f"circuit's {self.describe()}"
@@ -1502,7 +1472,6 @@ class VectorSortRetrieveCircuit:
             capacity=config["capacity"],
             eager_marker_removal=config["eager_marker_removal"],
             modular=config["modular"],
-            fast_mode=config["fast_mode"],
         )
         circuit.load_state(state)
         if tracer is not None:

@@ -59,8 +59,13 @@ class WordFormat:
         return 1 << self.word_bits
 
     def check_value(self, value: int) -> int:
-        """Validate that ``value`` fits the word format; returns it."""
-        if not isinstance(value, int):
+        """Validate that ``value`` fits the word format; returns it.
+
+        A ``bool`` is refused although Python counts it as an int: a
+        flag passed where a tag belongs is a caller bug, and the wire
+        protocol rejects it the same way.
+        """
+        if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"tag must be an int, got {type(value).__name__}")
         if not 0 <= value <= self.max_value:
             raise ConfigurationError(
@@ -125,12 +130,13 @@ FIGURE_FORMAT = WordFormat(levels=3, literal_bits=2)
 # ----------------------------------------------------------------------
 # Word-level find-first-set / population-count primitives.
 #
-# The matcher's bit-twiddling (`search_fast` in core/tree.py) inlines
-# these for one node under one mask; the vectorized engine needs the
-# same primitives over whole arrays of node words.  Both variants live
-# here so the tree, the vector engine, and the sizing math share one
-# definition — the hypothesis suite in tests/core/test_word_ffs.py
-# pins the scalar, array, and `search_fast` answers to each other.
+# The fused tree's search (`FusedMultiBitTree.closest_at_most` in
+# core/tree.py) inlines these for one node under one mask; the
+# vectorized engine needs the same primitives over whole arrays of node
+# words.  Both variants live here so the tree, the vector engine, and
+# the sizing math share one definition — the hypothesis suite in
+# tests/core/test_word_ffs.py pins the scalar, array, and fused-search
+# answers to each other.
 
 def ffs_word(word: int) -> int:
     """Index of the lowest set bit of ``word`` (-1 when no bit is set).

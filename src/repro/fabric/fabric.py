@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.engine import resolve_mode
+from ..core.engine import read_legacy_keys, resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
 from ..hwsim.errors import ConfigurationError, ProtocolError
 from ..net.hardware_store import HardwareTagStore
@@ -91,7 +91,6 @@ class ScheduleFabric:
         fmt: WordFormat = PAPER_FORMAT,
         granularity: float = 1.0,
         capacity_per_shard: int = 4096,
-        fast_mode: bool = False,
         mode: Optional[str] = None,
         partition_policy: str = "hash",
         flow_space: int = 1024,
@@ -104,15 +103,12 @@ class ScheduleFabric:
         self.fmt = fmt
         self.granularity = granularity
         self.capacity_per_shard = capacity_per_shard
-        self.fast_mode = fast_mode
         self.mode = resolve_mode(mode)
-        self.turbo = self.mode == "turbo"
         self.stores: List[HardwareTagStore] = [
             HardwareTagStore(
                 fmt=fmt,
                 granularity=granularity,
                 capacity=capacity_per_shard,
-                fast_mode=fast_mode,
                 mode=self.mode,
             )
             for _ in range(shards)
@@ -738,8 +734,6 @@ class ScheduleFabric:
             "shards": self.shards,
             "granularity": self.granularity,
             "capacity_per_shard": self.capacity_per_shard,
-            "fast_mode": self.fast_mode,
-            "turbo": self.turbo,
             "mode": self.mode,
             "levels": self.fmt.levels,
             "literal_bits": self.fmt.literal_bits,
@@ -794,7 +788,7 @@ class ScheduleFabric:
 
         ``mode`` overrides the snapshot's engine (snapshots are
         engine-neutral); legacy snapshots without a ``mode`` key fall
-        back to their ``turbo`` flag.
+        back to their ``turbo`` flag (:func:`read_legacy_keys`).
         """
         partitioner_state = state["partitioner"]
         fabric = cls(
@@ -804,10 +798,7 @@ class ScheduleFabric:
             ),
             granularity=state["granularity"],
             capacity_per_shard=state["capacity_per_shard"],
-            fast_mode=state["fast_mode"],
-            mode=mode
-            or state.get("mode")
-            or ("turbo" if state.get("turbo", False) else "gate"),
+            mode=mode or read_legacy_keys(state)[0],
             partition_policy=partitioner_state["policy"],
             flow_space=partitioner_state["flow_space"],
             policy=policy,

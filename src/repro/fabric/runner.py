@@ -62,7 +62,7 @@ class FabricRun(HarnessRun):
 
     def report(self) -> str:
         """The human-readable run report."""
-        mode = "batched fast-mode" if self.batched else "per-op"
+        mode = "batched" if self.batched else "per-op"
         manager = self.fabric.manager
         notes = [
             f"fabric: occupancies {self.fabric.occupancies()}, "
@@ -181,7 +181,6 @@ def run_fabric_soak(
     fabric = ScheduleFabric(
         shards=shards,
         granularity=granularity,
-        fast_mode=batched,
         mode=mode,
     )
     harness = RunHarness(

@@ -52,7 +52,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         granularity: Optional[float] = None,
         buffer_capacity: int = 8192,
         clock_hz: float = DEFAULT_CLOCK_HZ,
-        fast_mode: bool = False,
         mode: Optional[str] = None,
         partition_policy: str = "hash",
         flow_space: int = 1024,
@@ -67,7 +66,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
             granularity=granularity,
             buffer_capacity=buffer_capacity,
             clock_hz=clock_hz,
-            fast_mode=fast_mode,
             mode=mode,
             tracer=tracer,
         )
@@ -100,7 +98,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
                 fmt=self._fmt,
                 granularity=self._resolve_granularity(),
                 capacity_per_shard=capacity,
-                fast_mode=self._fast_mode,
                 mode=self._mode,
                 partition_policy=self._partition_policy,
                 flow_space=self._flow_space,

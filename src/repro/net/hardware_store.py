@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.engine import make_circuit, resolve_mode
+from ..core.engine import make_circuit, read_legacy_keys, resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
 from ..hwsim.errors import ConfigurationError, ProtocolError
 
@@ -43,7 +43,6 @@ class HardwareTagStore:
         fmt: WordFormat = PAPER_FORMAT,
         granularity: float = 1.0,
         capacity: int = 4096,
-        fast_mode: bool = False,
         mode: Optional[str] = None,
         tracer=None,
     ) -> None:
@@ -57,7 +56,6 @@ class HardwareTagStore:
             mode=self.mode,
             capacity=capacity,
             modular=True,
-            fast_mode=fast_mode,
             tracer=tracer,
         )
         self._section_span = fmt.capacity // fmt.branching_factor
@@ -497,22 +495,21 @@ class HardwareTagStore:
 
         ``mode`` overrides the engine at restore time (snapshots are
         engine-neutral); when omitted, the snapshot's own ``mode`` key
-        — or, for pre-engine snapshots, its legacy ``turbo`` flag —
-        picks the engine.
+        — or, for pre-engine snapshots, its circuit's legacy ``turbo``
+        flag — picks the engine (:func:`read_legacy_keys`).
         """
         config = state["circuit"]["config"]
         fmt = WordFormat(
             levels=config["levels"], literal_bits=config["literal_bits"]
         )
         if mode is None:
-            mode = state.get("mode") or (
-                "turbo" if config.get("turbo", False) else "gate"
+            mode, _ = read_legacy_keys(
+                state, default_mode=read_legacy_keys(config)[0]
             )
         store = cls(
             fmt=fmt,
             granularity=state["granularity"],
             capacity=config["capacity"],
-            fast_mode=config["fast_mode"],
             mode=mode,
         )
         store.load_state(state)
@@ -538,11 +535,6 @@ class HardwareTagStore:
 
     # ------------------------------------------------------------------
     # introspection for experiments
-
-    @property
-    def turbo(self) -> bool:
-        """Whether the circuit runs the access-fused turbo engine."""
-        return self.circuit.turbo
 
     @property
     def cycles(self) -> int:

@@ -51,7 +51,6 @@ class HardwareWFQSystem(PacketScheduler):
         granularity: Optional[float] = None,
         buffer_capacity: int = 8192,
         clock_hz: float = DEFAULT_CLOCK_HZ,
-        fast_mode: bool = False,
         mode: Optional[str] = None,
         tracer=None,
     ) -> None:
@@ -64,7 +63,6 @@ class HardwareWFQSystem(PacketScheduler):
         self._fmt = fmt
         self._buffer_capacity = buffer_capacity
         self._explicit_granularity = granularity
-        self._fast_mode = fast_mode
         self._mode = resolve_mode(mode)
         self._tracer = tracer
         self._store: Optional[HardwareTagStore] = None
@@ -91,7 +89,6 @@ class HardwareWFQSystem(PacketScheduler):
                 fmt=self._fmt,
                 granularity=self._resolve_granularity(),
                 capacity=self._buffer_capacity,
-                fast_mode=self._fast_mode,
                 mode=self._mode,
                 tracer=self._tracer,
             )

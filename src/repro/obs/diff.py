@@ -40,11 +40,13 @@ from .events import OP_KINDS, SPAN_KIND, TraceEvent
 _SPAN_FOLD = {"insert_batch": "insert", "dequeue_batch": "dequeue"}
 
 #: Header/config keys that must match for a meaningful diff.  ``mode``
-#: is deliberately absent; ``fast_mode`` only disables a software-side
-#: verification shadow and ``turbo`` only swaps the engine (identical
-#: service order and accounting), so both may differ too — diffing a
-#: turbo trace against a gate trace of the same seed is exactly how CI
-#: proves the engines are logically equivalent.
+#: (per-op or batched) is deliberately absent, and so is the engine: it
+#: lives outside the config block (the header's ``engine``) and only
+#: swaps structure flavours with identical service order and
+#: accounting — diffing a turbo trace against a gate trace of the same
+#: seed is exactly how CI proves the engines are logically equivalent.
+#: The ``fast_mode`` and ``turbo`` keys of older traces are not gated
+#: either.
 _GATED_CONFIG_KEYS = (
     "levels",
     "literal_bits",

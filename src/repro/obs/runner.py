@@ -50,14 +50,9 @@ class TracedRun(HarnessRun):
     engine: str = "gate"
     fault: Optional[str] = None
 
-    @property
-    def turbo(self) -> bool:
-        """Whether the soak ran on the turbo engine."""
-        return self.engine == "turbo"
-
     def report(self) -> str:
         """The human-readable run report."""
-        mode = "batched fast-mode" if self.batched else "per-op"
+        mode = "batched" if self.batched else "per-op"
         if self.engine != "gate":
             mode += f", {self.engine} engine"
         return self._soak_report(
@@ -128,9 +123,7 @@ def run_traced_soak(
             f"expected one of {sorted(FAULT_PRESETS)}"
         )
     mode = resolve_mode(mode)
-    store = HardwareTagStore(
-        granularity=granularity, fast_mode=batched, mode=mode
-    )
+    store = HardwareTagStore(granularity=granularity, mode=mode)
     harness = RunHarness(
         store,
         header=dict(

@@ -32,7 +32,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core.engine import resolve_mode
+from ..core.engine import read_legacy_keys, resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
 from ..hwsim.errors import ConfigurationError, ProtocolError
 from ..net.admission import AdmissionController
@@ -159,13 +159,9 @@ class ServeConfig:
 
     def adopt_scheduling_fields(self, recorded: Dict[str, Any]) -> None:
         """Take the snapshot's scheduling fields (restore path)."""
+        mode, _ = read_legacy_keys(recorded, default_mode="turbo")
         for name in self.SCHEDULING_FIELDS:
-            if name == "mode" and name not in recorded:
-                # Pre-engine snapshots froze only the legacy turbo bool.
-                value = "turbo" if recorded.get("turbo", True) else "gate"
-            else:
-                value = recorded[name]
-            setattr(self, name, value)
+            setattr(self, name, mode if name == "mode" else recorded[name])
 
 
 class ServeEngine:

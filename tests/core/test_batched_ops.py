@@ -3,16 +3,19 @@
 The contract of :meth:`TagSortRetrieveCircuit.insert_batch`,
 :meth:`dequeue_batch` and :meth:`run_mixed`: identical service order,
 identical cycle/operation accounting, identical invariants — only the
-bookkeeping cost is amortized.  These tests pin that contract down,
-including the fast-mode shadow bypass and the atomic-failure semantics
-that distinguish the batched paths from a per-op loop.
+bookkeeping cost is amortized.  These tests pin that contract down on
+both structure flavours, including the atomic-failure semantics that
+distinguish the batched paths from a per-op loop.
 """
 
 import random
 
 import pytest
 
-from repro.core.sort_retrieve import TagSortRetrieveCircuit
+from repro.core.sort_retrieve import (
+    FusedSortRetrieveCircuit,
+    TagSortRetrieveCircuit,
+)
 from repro.core.words import PAPER_FORMAT, WordFormat
 from repro.hwsim.errors import (
     CapacityError,
@@ -152,10 +155,10 @@ class TestDequeueBatch:
 
 
 class TestRunMixedParity:
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_randomized_parity(self, fast):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_randomized_parity(self, fused):
         """run_mixed serves exactly what a per-op loop serves, at the
-        same cycle cost, across seeds, in both verification modes."""
+        same cycle cost, across seeds, on both structure flavours."""
         for seed in range(8):
             rng = random.Random(seed)
             operations = []
@@ -175,9 +178,10 @@ class TestRunMixedParity:
                     reference.insert(op[1], op[2])
                 else:
                     ref_served.append(reference.dequeue_min())
-            batched = TagSortRetrieveCircuit(
-                PAPER_FORMAT, capacity=512, fast_mode=fast
+            engine = (
+                FusedSortRetrieveCircuit if fused else TagSortRetrieveCircuit
             )
+            batched = engine(PAPER_FORMAT, capacity=512)
             served = batched.run_mixed(operations)
             assert [(s.tag, s.payload) for s in served] == [
                 (s.tag, s.payload) for s in ref_served
@@ -188,24 +192,15 @@ class TestRunMixedParity:
 
 
 class TestFastMode:
-    def test_toggle_rebuilds_shadow(self):
-        circuit = TagSortRetrieveCircuit(
-            PAPER_FORMAT, capacity=32, fast_mode=True
-        )
-        circuit.insert_batch([5, 5, 9, 40])
-        circuit.check_invariants()  # shadow comparison skipped
-        circuit.fast_mode = False
-        circuit.check_invariants()  # shadow rebuilt from storage walk
-        circuit.insert(50)
-        circuit.check_invariants()
-        assert [s.tag for s in drain(circuit)] == [5, 5, 9, 40, 50]
+    """The Fig. 6 section guard rests on the per-section occupancy
+    counters, never on a verification shadow (the circuit keeps none)."""
 
     def test_section_guard_active_without_shadow(self):
         circuit = TagSortRetrieveCircuit(
-            PAPER_FORMAT, capacity=32, modular=True, fast_mode=True
+            PAPER_FORMAT, capacity=32, modular=True
         )
         circuit.insert(3)
-        with pytest.raises(ProtocolError, match="live tags"):
+        with pytest.raises(ProtocolError, match=r"live tags \(e\.g\. 3\)"):
             circuit.clear_stale_section(0)
 
 

@@ -13,7 +13,7 @@ would have charged.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.sort_retrieve import TagSortRetrieveCircuit
+from repro.core.engine import make_circuit
 from repro.core.words import WordFormat
 
 SMALL_FORMAT = WordFormat(levels=2, literal_bits=3)  # 6-bit, 64 values
@@ -82,10 +82,10 @@ def reference_run(ops):
     return served, [(entry[0], entry[2]) for entry in rest]
 
 
-def engine_run(ops, *, turbo=False, batched=False):
+def engine_run(ops, *, mode="gate", batched=False):
     """Execute the stream on a real circuit; return parity evidence."""
-    circuit = TagSortRetrieveCircuit(
-        SMALL_FORMAT, capacity=128, eager_marker_removal=True, turbo=turbo
+    circuit = make_circuit(
+        SMALL_FORMAT, mode=mode, capacity=128, eager_marker_removal=True
     )
     live = []  # handles in insertion order (retag replaces in place)
     served = []
@@ -175,7 +175,7 @@ def test_turbo_engine_exact_parity_with_gate(ops):
     """Turbo fuses accesses but must not change *what* is charged:
     identical service order, cycle count, and read/write totals."""
     gate = engine_run(ops)
-    turbo = engine_run(ops, turbo=True)
+    turbo = engine_run(ops, mode="turbo")
     assert turbo["served"] == gate["served"]
     assert turbo["rest"] == gate["rest"]
     assert turbo["cycles"] == gate["cycles"]
@@ -200,7 +200,7 @@ def test_batched_engine_serves_identically(ops):
 def test_handle_accounting_is_exact_under_churn(ops):
     """Every inserted entry is accounted for exactly once: served,
     removed, or still live at the end."""
-    circuit = TagSortRetrieveCircuit(
+    circuit = make_circuit(
         SMALL_FORMAT, capacity=128, eager_marker_removal=True
     )
     live = []

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.sort_retrieve import (
     FIXED_OP_CYCLES,
+    FusedSortRetrieveCircuit,
     TagSortRetrieveCircuit,
 )
 from repro.core.words import PAPER_FORMAT, WordFormat
@@ -300,14 +301,12 @@ class TestBatchContracts:
 class TestFreeListConservation:
     """Fig. 10: every slot is live or free, under any churn mix."""
 
-    @pytest.mark.parametrize("turbo", [False, True])
-    def test_mixed_churn_conserves_slots(self, turbo):
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_mixed_churn_conserves_slots(self, fused):
         capacity = 128
-        circuit = TagSortRetrieveCircuit(
-            SMALL_FORMAT,
-            capacity=capacity,
-            eager_marker_removal=True,
-            turbo=turbo,
+        engine = FusedSortRetrieveCircuit if fused else TagSortRetrieveCircuit
+        circuit = engine(
+            SMALL_FORMAT, capacity=capacity, eager_marker_removal=True
         )
         rng = random.Random(11)
         live = []

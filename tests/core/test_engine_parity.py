@@ -18,6 +18,7 @@ from repro.bench.perf import make_flow_ops
 from repro.core.engine import make_circuit, numpy_or_none
 from repro.core.words import PAPER_FORMAT
 from repro.fabric.fabric import ScheduleFabric
+from repro.hwsim.errors import ConfigurationError
 from repro.net.hardware_store import HardwareTagStore
 
 ENGINES = ("gate", "turbo", "vector")
@@ -208,7 +209,7 @@ def test_store_service_order_identical_across_engines(mode, seed=29):
     """HardwareTagStore batched drains agree with the gate engine."""
     ops = make_flow_ops(2_000, seed)
     stores = [
-        HardwareTagStore(granularity=8.0, fast_mode=True, mode=engine)
+        HardwareTagStore(granularity=8.0, mode=engine)
         for engine in ("gate", mode)
     ]
     outputs = []
@@ -233,3 +234,32 @@ def test_store_service_order_identical_across_engines(mode, seed=29):
             served.extend(store.pop_batch(pops))
         outputs.append(served)
     assert outputs[0] == outputs[1]
+
+
+#: Each call hands a ``bool`` to an engine where a tag belongs.
+BOOL_TAG_CALLS = {
+    "insert": lambda circuit, handle: circuit.insert(True),
+    "insert_batch": lambda circuit, handle: circuit.insert_batch([40, True]),
+    "insert_and_dequeue": lambda circuit, handle: circuit.insert_and_dequeue(
+        True
+    ),
+    "retag": lambda circuit, handle: circuit.retag(handle, True),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BOOL_TAG_CALLS))
+@pytest.mark.parametrize(
+    "mode", ["gate", "turbo", pytest.param("vector", marks=needs_numpy)]
+)
+def test_bool_tag_refused_before_anything_moves(mode, call):
+    """A bool is an int to Python but never a tag: every engine answers
+    the canonical ConfigurationError and leaves its state untouched."""
+    circuit = make_circuit(PAPER_FORMAT, mode=mode, capacity=16)
+    circuit.insert(0, "a")
+    handle = circuit.insert(9, "b")
+    circuit.insert(30, "c")
+    before = circuit.to_state()
+    with pytest.raises(ConfigurationError, match="got bool"):
+        BOOL_TAG_CALLS[call](circuit, handle)
+    assert circuit.to_state() == before
+    circuit.check_invariants()

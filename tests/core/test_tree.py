@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.matching import ALL_MATCHERS
-from repro.core.tree import MultiBitTree, TreeInvariantError
+from repro.core.tree import FusedMultiBitTree, MultiBitTree, TreeInvariantError
 from repro.core.words import FIGURE_FORMAT, PAPER_FORMAT, WordFormat
 from repro.hwsim.errors import ConfigurationError
 
@@ -289,16 +289,15 @@ class TestBulkReset:
     """Resets are in-place fills, so the turbo walks see them."""
 
     def test_turbo_search_sees_a_level_cleared_in_place(self):
-        tree = MultiBitTree(PAPER_FORMAT)
+        tree = FusedMultiBitTree(PAPER_FORMAT)
         for value in (5, 300, 2000):
-            tree.insert_marker_fast(value)
-        assert tree.closest_fast(PAPER_FORMAT.max_value) == 2000
+            tree.insert_marker(value)
+        assert tree.closest_at_most(PAPER_FORMAT.max_value) == 2000
         for level in tree._levels:
             level.clear()
         tree._count = 0
-        assert tree.closest_fast(PAPER_FORMAT.max_value) is None
-        assert tree.search_fast(PAPER_FORMAT.max_value).result is None
-        for (cells, _stats), level in zip(tree._turbo_walk, tree._levels):
+        assert tree.closest_at_most(PAPER_FORMAT.max_value) is None
+        for (cells, _stats), level in zip(tree._level_cells, tree._levels):
             assert cells is level._cells
 
     def test_clear_all_charges_one_root_write(self):

@@ -1,9 +1,11 @@
 """Gate-vs-turbo equivalence for the access-fused turbo engine.
 
-The turbo engine promises *exact* parity with the gate-accurate model:
-identical served order, identical cycle and per-structure access
-accounting, identical structure state — only the Python work to get
-there is fused.  These tests drive both engines with the same
+The turbo engine (:class:`FusedSortRetrieveCircuit`) runs the circuit's
+one set of operation bodies over the fused structure flavours, and
+promises *exact* parity with the gate-accurate reference: identical
+served order, identical cycle and per-structure access accounting,
+identical structure state — only the Python work to get there is
+fused.  These tests drive both engines with the same
 WFQ-legal operation streams (a ``heapq`` shadow keeps every generated
 tag ahead of the live minimum) and compare everything observable.
 """
@@ -13,8 +15,9 @@ import random
 
 import pytest
 
-from repro.core.sort_retrieve import ServedTag, TagSortRetrieveCircuit
-from repro.core.tree import MultiBitTree
+from repro.core.engine import circuit_from_state, make_circuit
+from repro.core.sort_retrieve import FusedSortRetrieveCircuit, ServedTag
+from repro.core.tree import FusedMultiBitTree, MultiBitTree
 from repro.core.words import PAPER_FORMAT
 from repro.obs.tracer import Tracer
 
@@ -72,15 +75,15 @@ def _drive(circuit, ops):
     return served
 
 
-def _fresh(**kwargs):
-    return TagSortRetrieveCircuit(PAPER_FORMAT, capacity=1024, **kwargs)
+def _fresh(mode="gate", **kwargs):
+    return make_circuit(PAPER_FORMAT, mode=mode, capacity=1024, **kwargs)
 
 
 @pytest.mark.parametrize("seed", [1, 17, 20060101])
 def test_turbo_parity_full_observables(seed):
     """Served order, cycles, and per-structure accounting all identical."""
     ops = make_wfq_ops(1500, seed)
-    gate, turbo = _fresh(), _fresh(turbo=True)
+    gate, turbo = _fresh(), _fresh("turbo")
     gate_served = _drive(gate, ops)
     turbo_served = _drive(turbo, ops)
     assert gate_served == turbo_served  # tags, payloads, and addresses
@@ -89,17 +92,15 @@ def test_turbo_parity_full_observables(seed):
     assert _registry_snapshot(turbo) == _registry_snapshot(gate)
     assert turbo.peek_min() == gate.peek_min()
     assert turbo.count == gate.count
-    # The whole structure state matches, not just the outputs.
-    gate_state, turbo_state = gate.to_state(), turbo.to_state()
-    assert gate_state["config"].pop("turbo") is False
-    assert turbo_state["config"].pop("turbo") is True
-    assert turbo_state == gate_state
+    # The whole structure state matches, not just the outputs: the
+    # snapshot names no engine.
+    assert turbo.to_state() == gate.to_state()
     turbo.check_invariants()
 
 
 def test_turbo_drains_identically():
     ops = make_wfq_ops(800, 5)
-    gate, turbo = _fresh(), _fresh(turbo=True)
+    gate, turbo = _fresh(), _fresh("turbo")
     _drive(gate, ops)
     _drive(turbo, ops)
     while not gate.is_empty:
@@ -108,47 +109,19 @@ def test_turbo_drains_identically():
     assert _registry_snapshot(turbo) == _registry_snapshot(gate)
 
 
-def test_head_cache_hits_on_head_local_ops():
-    circuit = _fresh(turbo=True)
-    circuit.insert(100)
-    circuit.insert(200)
-    assert circuit.head_cache_hits == 0
-    # Inserting at the current minimum is the cache's bread and butter.
-    circuit.insert(100)
-    assert circuit.head_cache_hits == 1
-    # A head-local replace hits too.
-    circuit.insert_and_dequeue(100)
-    assert circuit.head_cache_hits == 2
-    # A non-head insert walks the trie instead.
-    circuit.insert(150)
-    assert circuit.head_cache_hits == 2
-
-
-def test_head_cache_invalidated_when_tree_clears():
-    circuit = _fresh(turbo=True)
-    circuit.insert(10)
-    circuit.insert(10)  # memoizes nothing untraced, but counts the hit
-    assert circuit.head_cache_hits == 1
-    circuit.dequeue_min()
-    circuit.dequeue_min()
-    # Storage drained: the next insert flushes stale markers and must
-    # drop any memoized head path with them.
-    circuit.insert(5)
-    assert circuit._head_cache_tag is None
-    assert circuit.peek_min() == 5
-    circuit.check_invariants()
-
-
 def test_turbo_toggle_mid_stream_preserves_parity():
+    """Switching engines mid-stream (through a snapshot, the one way a
+    host changes engine) continues the gate stream exactly."""
     ops = make_wfq_ops(1000, 23)
     reference = _fresh()
-    toggled = _fresh()
     ref_served = _drive(reference, ops)
+    toggled = _fresh()
     served = _drive(toggled, ops[:400])
-    toggled.turbo = True
-    assert toggled.turbo is True
+    toggled = circuit_from_state(toggled.to_state(), mode="turbo")
+    assert toggled.mode == "turbo"
     served += _drive(toggled, ops[400:700])
-    toggled.turbo = False
+    toggled = circuit_from_state(toggled.to_state(), mode="gate")
+    assert toggled.mode == "gate"
     served += _drive(toggled, ops[700:])
     assert served == ref_served
     assert toggled.cycles == reference.cycles
@@ -158,11 +131,11 @@ def test_turbo_toggle_mid_stream_preserves_parity():
 def test_turbo_engine_choice_survives_checkpoint_crossing():
     """A gate checkpoint restores into a turbo host and vice versa."""
     ops = make_wfq_ops(900, 31)
-    gate, turbo = _fresh(), _fresh(turbo=True)
+    gate, turbo = _fresh(), _fresh("turbo")
     _drive(gate, ops[:500])
     _drive(turbo, ops[:500])
     # Cross-load: each engine resumes from the *other* engine's snapshot.
-    crossed_turbo = _fresh(turbo=True)
+    crossed_turbo = _fresh("turbo")
     crossed_turbo.load_state(gate.to_state())
     crossed_gate = _fresh()
     crossed_gate.load_state(turbo.to_state())
@@ -172,16 +145,17 @@ def test_turbo_engine_choice_survives_checkpoint_crossing():
     assert _drive(crossed_gate, tail) == want
     assert crossed_turbo.cycles == gate.cycles
     assert _registry_snapshot(crossed_turbo) == _registry_snapshot(gate)
-    # from_state honors the snapshot's engine flag.
-    revived = TagSortRetrieveCircuit.from_state(turbo.to_state())
-    assert revived.turbo is True
+    # Snapshots are engine-neutral: the restoring host picks the engine.
+    assert FusedSortRetrieveCircuit.from_state(gate.to_state()).mode == "turbo"
+    assert circuit_from_state(turbo.to_state()).mode == "gate"
+    assert circuit_from_state(gate.to_state(), mode="turbo").mode == "turbo"
 
 
 def test_traced_turbo_matches_traced_gate_event_for_event():
     ops = make_wfq_ops(600, 41)
     gate_tracer, turbo_tracer = Tracer(), Tracer()
     gate = _fresh(tracer=gate_tracer)
-    turbo = _fresh(turbo=True, tracer=turbo_tracer)
+    turbo = _fresh("turbo", tracer=turbo_tracer)
     assert _drive(turbo, ops) == _drive(gate, ops)
     gate_events = gate_tracer.events()
     turbo_events = turbo_tracer.events()
@@ -207,21 +181,21 @@ def test_served_tag_is_immutable_and_hashable():
 # tree-level kernels
 
 
-def test_closest_fast_matches_search_fast_and_charges_identically():
+def test_fused_closest_matches_reference_search_and_charges_identically():
     rng = random.Random(99)
     values = sorted(rng.sample(range(PAPER_FORMAT.capacity), 200))
     lean, probed = (
-        MultiBitTree(PAPER_FORMAT),
+        FusedMultiBitTree(PAPER_FORMAT),
         MultiBitTree(PAPER_FORMAT),
     )
     for value in values:
-        lean.insert_marker_fast(value)
-        probed.insert_marker_fast(value)
+        lean.insert_marker(value)
+        probed.insert_marker(value)
     for key in range(0, PAPER_FORMAT.capacity, 7):
         lean_reads = [lean.level_stats(i).reads for i in range(3)]
         probed_reads = [probed.level_stats(i).reads for i in range(3)]
-        outcome = probed.search_fast(key)
-        closest = lean.closest_fast(key)
+        outcome = probed.search(key)
+        closest = lean.closest_at_most(key)
         assert closest == outcome.result
         assert lean.last_outcome is None  # the lean path allocates nothing
         # Identical per-level read accounting on both variants.
@@ -233,14 +207,15 @@ def test_closest_fast_matches_search_fast_and_charges_identically():
 
 
 def test_fast_marker_insert_matches_gate_insert():
-    gate, fast = MultiBitTree(PAPER_FORMAT), MultiBitTree(PAPER_FORMAT)
+    gate, fast = MultiBitTree(PAPER_FORMAT), FusedMultiBitTree(PAPER_FORMAT)
     rng = random.Random(3)
     for value in rng.sample(range(PAPER_FORMAT.capacity), 300):
-        assert fast.insert_marker_fast(value) == gate.insert_marker(value)
+        assert fast.insert_marker(value) == gate.insert_marker(value)
     assert fast.to_state() == gate.to_state()
-    for name in ("search", "search_fast"):
-        for key in rng.sample(range(PAPER_FORMAT.capacity), 64):
-            assert getattr(fast, name)(key).result == gate.search(key).result
+    for key in rng.sample(range(PAPER_FORMAT.capacity), 64):
+        want = gate.search(key).result
+        assert fast.search(key).result == want
+        assert fast.closest_at_most(key) == want
 
 
 def _spy_flushes(tree):
@@ -285,7 +260,7 @@ def test_flush_parity_over_many_busy_periods():
                 live -= 1
         ops.extend([("dequeue",)] * live)
         periods.append(ops)
-    gate, turbo = _fresh(), _fresh(turbo=True)
+    gate, turbo = _fresh(), _fresh("turbo")
     flushes = {
         "gate": _spy_flushes(gate.tree),
         "turbo": _spy_flushes(turbo.tree),
@@ -301,4 +276,4 @@ def test_flush_parity_over_many_busy_periods():
         assert all(delta == root_write_only for delta in deltas)
     assert turbo.cycles == gate.cycles
     for level, memory in enumerate(turbo.tree._levels):
-        assert turbo.tree._turbo_walk[level][0] is memory._cells
+        assert turbo.tree._level_cells[level][0] is memory._cells

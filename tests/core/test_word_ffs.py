@@ -6,17 +6,18 @@ Three layers are pinned to each other:
   against bit-by-bit reference loops,
 * the array helpers (``ffs_array``/``popcount_array``) against the
   scalars, element for element (skipped when numpy is absent),
-* the helpers against ``search_fast``: a floor search reimplemented
+* the helpers against the fused tree search
+  (``FusedMultiBitTree.closest_at_most``): a floor search reimplemented
   from ``fls_word``/``ffs_word`` over the tree's node words must reach
-  the same answer as the matcher's inlined bit-twiddling, and the
-  ffs-walk minimum must equal ``min`` over the marked set.
+  the same answer as its inlined bit-twiddling, and the ffs-walk
+  minimum must equal ``min`` over the marked set.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import numpy_or_none
-from repro.core.tree import MultiBitTree
+from repro.core.tree import FusedMultiBitTree
 from repro.core.words import (
     FIGURE_FORMAT,
     PAPER_FORMAT,
@@ -113,7 +114,7 @@ def floor_via_words(tree, fmt, key):
     Walks the node words with ``fls_word`` under the same ≤-mask the
     matcher applies, recording the deepest backup branch; once the path
     diverges below the key, every remaining level takes the highest
-    marked literal.  Independent of ``search_fast``'s inlined tricks.
+    marked literal.  Independent of the fused search's inlined tricks.
     """
     branching = fmt.branching_factor
     prefix = 0
@@ -166,14 +167,13 @@ def min_via_ffs_walk(tree, fmt):
     keys=st.lists(st.integers(min_value=0, max_value=PAPER_FORMAT.max_value), min_size=1, max_size=16),
 )
 def test_word_walk_agrees_with_search_fast_paper_format(values, keys):
-    tree = MultiBitTree(PAPER_FORMAT)
+    tree = FusedMultiBitTree(PAPER_FORMAT)
     for value in values:
         tree.insert_marker(value)
     assert min_via_ffs_walk(tree, PAPER_FORMAT) == min(values)
     for key in keys:
         expected = max((value for value in values if value <= key), default=None)
-        outcome = tree.search_fast(key)
-        assert outcome.result == expected
+        assert tree.closest_at_most(key) == expected
         assert floor_via_words(tree, PAPER_FORMAT, key) == expected
 
 
@@ -183,12 +183,11 @@ def test_word_walk_agrees_with_search_fast_paper_format(values, keys):
     keys=st.lists(st.integers(min_value=0, max_value=FIGURE_FORMAT.max_value), min_size=1, max_size=8),
 )
 def test_word_walk_agrees_with_search_fast_figure_format(values, keys):
-    tree = MultiBitTree(FIGURE_FORMAT)
+    tree = FusedMultiBitTree(FIGURE_FORMAT)
     for value in values:
         tree.insert_marker(value)
     assert min_via_ffs_walk(tree, FIGURE_FORMAT) == min(values)
     for key in keys:
         expected = max((value for value in values if value <= key), default=None)
-        outcome = tree.search_fast(key)
-        assert outcome.result == expected
+        assert tree.closest_at_most(key) == expected
         assert floor_via_words(tree, FIGURE_FORMAT, key) == expected

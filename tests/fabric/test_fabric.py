@@ -56,8 +56,8 @@ def test_one_shard_fabric_matches_bare_store_per_op(seed):
 @pytest.mark.parametrize("seed", [3, 17, 99])
 def test_one_shard_fabric_matches_bare_store_batched(seed):
     ops = make_flow_ops(2_000, seed)
-    fabric = ScheduleFabric(shards=1, granularity=GRANULARITY, fast_mode=True)
-    store = HardwareTagStore(granularity=GRANULARITY, fast_mode=True)
+    fabric = ScheduleFabric(shards=1, granularity=GRANULARITY)
+    store = HardwareTagStore(granularity=GRANULARITY)
     assert drive_batched(fabric, ops) == drive_batched(store, ops)
 
 
@@ -68,7 +68,7 @@ def test_batched_fabric_matches_per_op_fabric(shards, seed):
     ops = make_flow_ops(3_000, seed)
     per_op = ScheduleFabric(shards=shards, granularity=GRANULARITY)
     batched = ScheduleFabric(
-        shards=shards, granularity=GRANULARITY, fast_mode=True
+        shards=shards, granularity=GRANULARITY
     )
     assert drive(per_op, ops) == drive_batched(batched, ops)
 
@@ -183,7 +183,7 @@ def test_checkpoint_restore_resumes_identically(batched):
     ops = make_flow_ops(3_000, 23)
     split = len(ops) // 2
     fabric = ScheduleFabric(
-        shards=4, granularity=GRANULARITY, fast_mode=batched
+        shards=4, granularity=GRANULARITY
     )
     run = drive_batched if batched else drive
     run(fabric, ops[:split])

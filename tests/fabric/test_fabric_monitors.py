@@ -18,7 +18,7 @@ from repro.obs.tracer import Tracer
 def monitored_fabric(shards=4, batched=False):
     tracer = Tracer(buffer_size=200_000)
     fabric = ScheduleFabric(
-        shards=shards, granularity=8.0, fast_mode=batched, tracer=tracer
+        shards=shards, granularity=8.0, tracer=tracer
     )
     suite = MonitorSuite.for_circuit(fabric.stores[0].circuit, tracer=tracer)
     tracer.add_observer(suite)

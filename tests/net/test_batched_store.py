@@ -77,8 +77,8 @@ class TestBatchedParity:
             ops = wfq_like_ops(seed)
             reference = HardwareTagStore(granularity=1.0)
             served_ref = drive_per_op(reference, ops)
-            for fast in (False, True):
-                store = HardwareTagStore(granularity=1.0, fast_mode=fast)
+            for mode in ("gate", "turbo"):
+                store = HardwareTagStore(granularity=1.0, mode=mode)
                 served = drive_batched(store, ops)
                 assert served == served_ref
                 assert store.clamped_inserts == reference.clamped_inserts
@@ -146,8 +146,8 @@ def test_property_identical_service_order(steps):
         return
     reference = HardwareTagStore(granularity=1.0, capacity=1024)
     served_ref = drive_per_op(reference, ops)
-    for fast in (False, True):
-        store = HardwareTagStore(granularity=1.0, capacity=1024, fast_mode=fast)
+    for mode in ("gate", "turbo"):
+        store = HardwareTagStore(granularity=1.0, capacity=1024, mode=mode)
         assert drive_batched(store, ops) == served_ref
         assert store.clamped_inserts == reference.clamped_inserts
         store.circuit.check_invariants()

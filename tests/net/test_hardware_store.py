@@ -140,7 +140,7 @@ class TestPeekMinExact:
         assert store.cycles == cycles
 
     def test_head_register_survives_batch_paths(self):
-        store = HardwareTagStore(granularity=1.0, fast_mode=True)
+        store = HardwareTagStore(granularity=1.0)
         store.push_batch([(1.0, 1), (4.0, 0), (6.0, 2)])
         assert store.peek_min_exact() == (1.0, 1)
         store.pop_batch(2)

@@ -179,7 +179,7 @@ class TestSystemBatchPaths:
         while per_op.backlog:
             served_ref.append(per_op.select_next(1e9).packet_id)
 
-        batched = build_system(scenario, fast_mode=True)
+        batched = build_system(scenario)
         admitted = batched.enqueue_batch(scenario.clone_trace())
         assert admitted == len(scenario.trace)
         served = [
@@ -192,7 +192,7 @@ class TestSystemBatchPaths:
 
     def test_enqueue_batch_counts_drops(self):
         scenario = voip_video_data_mix(packets_per_flow=200, seed=5)
-        system = build_system(scenario, buffer_capacity=16, fast_mode=True)
+        system = build_system(scenario, buffer_capacity=16)
         admitted = system.enqueue_batch(scenario.clone_trace())
         assert system.dropped > 0
         assert admitted + system.dropped == len(scenario.trace)

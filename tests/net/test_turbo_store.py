@@ -1,7 +1,7 @@
 """Turbo engine parity at the store and fabric layers.
 
 The :class:`HardwareTagStore` adapter and the sharded fabric thread the
-``turbo`` flag down to their circuits; everything observable — served
+engine ``mode`` down to their circuits; everything observable — served
 stream, wrap bookkeeping, per-structure accounting, snapshots — must
 match the gate engine exactly on identical seeded workloads.
 """
@@ -39,10 +39,8 @@ def test_store_turbo_parity_per_op(seed):
 
 def test_store_turbo_parity_batched():
     ops = make_mixed_ops(4_000, 11)
-    gate = HardwareTagStore(granularity=GRANULARITY, fast_mode=True)
-    turbo = HardwareTagStore(
-        granularity=GRANULARITY, fast_mode=True, mode="turbo"
-    )
+    gate = HardwareTagStore(granularity=GRANULARITY)
+    turbo = HardwareTagStore(granularity=GRANULARITY, mode="turbo")
     assert _drive_batched(turbo, ops) == _drive_batched(gate, ops)
     assert turbo.circuit.cycles == gate.circuit.cycles
     assert _registry_snapshot(turbo) == _registry_snapshot(gate)
@@ -50,11 +48,15 @@ def test_store_turbo_parity_batched():
 
 def test_store_describe_and_state_carry_engine():
     turbo = HardwareTagStore(granularity=GRANULARITY, mode="turbo")
-    assert turbo.describe()["turbo"] is True
-    assert turbo.turbo is True
+    assert turbo.circuit.mode == "turbo"
+    # The config block names no engine; the store snapshot's mode does.
+    gate = HardwareTagStore(granularity=GRANULARITY)
+    assert turbo.describe() == gate.describe()
     _drive_per_op(turbo, make_mixed_ops(1_000, 7))
-    revived = HardwareTagStore.from_state(turbo.to_state())
-    assert revived.turbo is True
+    state = turbo.to_state()
+    assert state["mode"] == "turbo"
+    revived = HardwareTagStore.from_state(state)
+    assert revived.mode == revived.circuit.mode == "turbo"
     # The revived store continues the exact service stream.
     twin = HardwareTagStore(granularity=GRANULARITY)
     _drive_per_op(twin, make_mixed_ops(1_000, 7))
@@ -90,8 +92,9 @@ def test_fabric_state_roundtrip_keeps_turbo():
     fabric.push(10.0, 1)
     fabric.push(20.0, 2)
     state = fabric.to_state()
-    assert state["turbo"] is True
+    assert state["mode"] == "turbo"
+    assert "turbo" not in state and "fast_mode" not in state
     revived = ScheduleFabric.from_state(state)
-    assert revived.turbo is True
-    assert all(store.turbo for store in revived.stores)
+    assert revived.mode == "turbo"
+    assert all(store.circuit.mode == "turbo" for store in revived.stores)
     assert revived.pop_min() == fabric.pop_min()

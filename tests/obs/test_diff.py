@@ -24,7 +24,7 @@ SEED = 20060101
 def traced(*, batched, ops=2_000, seed=SEED):
     tracer = Tracer()
     store = HardwareTagStore(
-        granularity=8.0, fast_mode=batched, tracer=tracer
+        granularity=8.0, tracer=tracer
     )
     header = build_trace_header(
         seed=seed,

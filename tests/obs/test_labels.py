@@ -21,7 +21,7 @@ from repro.obs.tracer import Tracer
 def run_soak(seed, ops, *, shards=3, batched=False):
     probes = StandardProbes()
     tracer = Tracer(buffer_size=65536, observers=[probes])
-    fabric = ScheduleFabric(shards=shards, fast_mode=batched, tracer=tracer)
+    fabric = ScheduleFabric(shards=shards, tracer=tracer)
     drive = _drive_batched if batched else _drive_per_op
     drive(fabric, make_flow_ops(ops, seed, flows=32))
     tracer.close()

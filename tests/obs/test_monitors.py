@@ -41,7 +41,7 @@ def faulted_suite(fault, *, batched, ops=1_500, warmup=200, seed=SEED):
     """
     tracer = Tracer()
     store = HardwareTagStore(
-        granularity=8.0, fast_mode=batched, tracer=tracer
+        granularity=8.0, tracer=tracer
     )
     suite = MonitorSuite.for_circuit(store.circuit, tracer=tracer)
     tracer.add_observer(suite)

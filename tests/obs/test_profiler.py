@@ -14,7 +14,7 @@ SEED = 20060101
 def traced_events(*, batched, ops=2_000):
     tracer = Tracer()
     store = HardwareTagStore(
-        granularity=8.0, fast_mode=batched, tracer=tracer
+        granularity=8.0, tracer=tracer
     )
     drive = _drive_batched if batched else _drive_per_op
     drive(store, make_mixed_ops(ops, SEED))

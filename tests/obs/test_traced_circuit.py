@@ -235,7 +235,7 @@ class TestMixedSoakReconciliation:
     def test_traced_mixed_run_reconciles_exactly(self, batched):
         tracer = Tracer()
         store = HardwareTagStore(
-            granularity=8.0, fast_mode=batched, tracer=tracer
+            granularity=8.0, tracer=tracer
         )
         ops = make_mixed_ops(3_000, seed=77)
         drive = _drive_batched if batched else _drive_per_op
@@ -261,7 +261,7 @@ class TestMixedSoakReconciliation:
 
         batch_tracer = Tracer()
         store = HardwareTagStore(
-            granularity=8.0, fast_mode=True, tracer=batch_tracer
+            granularity=8.0, tracer=batch_tracer
         )
         served_batched = _drive_batched(store, ops)
 

@@ -14,8 +14,8 @@ SEED = 20060101
 
 def test_turbo_soak_reconciles_and_monitors_clean():
     run = run_traced_soak(ops=3_000, seed=SEED, mode="turbo", monitor=True)
-    assert run.turbo is True
-    assert run.store.turbo is True
+    assert run.engine == "turbo"
+    assert run.store.circuit.mode == "turbo"
     assert run.reconciled
     assert run.monitors is not None and not run.monitors.violations
     assert "turbo engine" in run.report()
