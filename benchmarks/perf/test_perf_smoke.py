@@ -1,11 +1,11 @@
 """Smoke coverage for the perf-regression harness.
 
-Runs the suite's smoke preset end to end — every matcher variant, every
-word-format size, and the headline mixed soak with its served-order
-equivalence assertion — then exercises the baseline write/check round
-trip exactly as CI invokes it (``python -m repro bench --smoke`` /
-``--check``), and measures that the *disabled* telemetry layer stays
-within 5% of the uninstrumented hot path.
+Runs the suite's smoke preset end to end — every workload × engine
+cell, each workload parity-checked on its probe pass before timing —
+then exercises the baseline write/check round trip exactly as CI
+invokes it (``python -m repro bench --smoke`` / ``--check``), and
+measures that the *disabled* telemetry layer stays within 5% of the
+uninstrumented hot path.
 """
 
 import contextlib
@@ -41,7 +41,7 @@ from repro.bench.perf import (
     run_bench,
 )
 from repro.core.engine import numpy_or_none
-from repro.core.matching import ALL_MATCHERS
+from repro.core.matching import ALL_MATCHERS, DEFAULT_MATCHER
 from repro.core.matching.base import MatchResult
 from repro.core.sort_retrieve import ServedTag, TagSortRetrieveCircuit
 from repro.core.tree import SearchOutcome
@@ -52,47 +52,60 @@ from repro.obs.events import TraceEvent
 def test_smoke_preset_structure(report):
     document = run_bench(preset="smoke", seed=7)
     assert document["preset"] == "smoke"
+    assert "mode" not in document
     names = [scenario["name"] for scenario in document["scenarios"]]
-    for matcher in ALL_MATCHERS:
-        assert f"insert_per_op:matcher={matcher}" in names
-        assert f"insert_batch:matcher={matcher}" in names
+    for name, matcher in ALL_MATCHERS.items():
+        # The default matcher's cells are size=w12's gate cells.
+        workload = "size=w12" if matcher is DEFAULT_MATCHER else f"matcher={name}"
+        assert f"{workload}/gate/insert_per_op" in names
+        assert f"{workload}/gate/insert_batch" in names
+    engines = ("gate", "turbo") + (
+        ("vector",) if numpy_or_none() is not None else ()
+    )
     for label in ("w8", "w12", "w16"):
-        assert f"dequeue_batch:size={label}" in names
+        for engine in engines:
+            assert f"size={label}/{engine}/dequeue_batch" in names
+    for engine in engines:
+        assert f"mixed/{engine}/per_op" in names
+        assert f"fabric/{engine}/shards=16" in names
     for scenario in document["scenarios"]:
         assert scenario["ops"] > 0
         assert scenario["ops_per_second"] > 0
         assert scenario["accesses_per_op"] > 0
+        assert scenario["passes"] == 1  # smoke: one pass per window
         if scenario.get("shards", 1) > 1:
             # Fabric scenarios report makespan cycles: parallel shards
             # amortize the fixed cost below 4 cycles per op.
             assert 0 < scenario["cycles_per_op"] < 4.0
-        elif scenario["name"].endswith(":dynamic"):
+        elif scenario["name"].startswith("timer/"):
             # Timer-churn removals pay the fixed cost plus one cycle
             # per duplicate-run read beyond the unlink window.
             assert scenario["cycles_per_op"] >= 4.0
         else:
             # Every circuit operation costs exactly FIXED_OP_CYCLES.
             assert scenario["cycles_per_op"] == 4.0
-    headline = document["headline"]
-    assert headline["served_orders_identical"] is True
-    assert headline["per_op"]["ops"] == headline["batched"]["ops"]
-    turbo = document["turbo"]
-    assert turbo["served_orders_identical"] is True
-    assert turbo["accounting_identical"] is True
+    by_name = {scenario["name"]: scenario for scenario in document["scenarios"]}
     # Exact parity: the turbo engine's per-op accounting is the gate
     # engine's, to the fourth decimal the document rounds to.
-    for metric in ("accesses_per_op", "cycles_per_op"):
-        assert turbo["turbo_per_op"][metric] == turbo["gate_per_op"][metric]
-        assert turbo["turbo_batched"][metric] == turbo["gate_batched"][metric]
-    assert document["mode"] == "gate"
+    for drive in ("per_op", "batched"):
+        for metric in ("accesses_per_op", "cycles_per_op"):
+            assert (
+                by_name[f"mixed/turbo/{drive}"][metric]
+                == by_name[f"mixed/gate/{drive}"][metric]
+            )
+    ratios = document["ratios"]
+    assert {"batched_speedup", "turbo_speedup", "turbo_vs_batched"} <= set(
+        ratios
+    )
     machine = document["machine"]
     assert machine["python"] and machine["platform"]
     assert machine["cpu_count"] >= 1
     assert machine["calibration_ops_per_second"] > 0
     report(
-        f"smoke headline speedup: {headline['speedup']}x "
-        f"({headline['batched']['ops_per_second']:,.0f} ops/s batched); "
-        f"turbo {turbo['speedup']}x over gate per-op"
+        f"smoke batched speedup: {ratios['batched_speedup']['value']}x "
+        f"({by_name['mixed/gate/batched']['ops_per_second']:,.0f} ops/s "
+        f"batched); turbo {ratios['turbo_speedup']['value']}x over gate "
+        f"per-op"
     )
 
 
@@ -101,8 +114,8 @@ def test_batched_paths_amortize_accesses():
     document = run_bench(preset="smoke", seed=11)
     by_name = {s["name"]: s for s in document["scenarios"]}
     for label in ("w8", "w12", "w16"):
-        per_op = by_name[f"insert_per_op:size={label}"]
-        batch = by_name[f"insert_batch:size={label}"]
+        per_op = by_name[f"size={label}/gate/insert_per_op"]
+        batch = by_name[f"size={label}/gate/insert_batch"]
         assert batch["accesses_per_op"] < per_op["accesses_per_op"]
 
 
@@ -112,12 +125,18 @@ def test_check_round_trip(tmp_path):
     assert baseline_path.exists()
     document = json.loads(baseline_path.read_text())
     assert document["schema"] == _SCHEMA
-    # Schema 7 added the vector phase: present, with its served-order
-    # parity check passed, whenever numpy imports; None without it.
+    # The vector cells, and the vector floor's ratio, exist whenever
+    # numpy imports; a host without it skips them.
+    vector_cells = [
+        scenario for scenario in document["scenarios"]
+        if scenario["engine"] == "vector"
+    ]
     if numpy_or_none() is None:
-        assert document["vector"] is None
+        assert not vector_cells
+        assert "vector_speedup" not in document["ratios"]
     else:
-        assert document["vector"]["served_orders_identical"] is True
+        assert vector_cells
+        assert document["ratios"]["vector_speedup"]["value"] >= 10.0
     # since schema 3 the forensic reference trace sits beside the baseline
     assert (tmp_path / "baseline.trace.jsonl").exists()
     assert main(["--smoke", "--check", "--output", str(baseline_path)]) == 0
@@ -143,10 +162,6 @@ def test_check_flags_missing_scenario_and_preset_mismatch():
     mismatched["preset"] = "full"
     problems = check_against_baseline(document, mismatched)
     assert any("preset" in problem for problem in problems)
-    cross_mode = json.loads(json.dumps(document))
-    cross_mode["mode"] = "turbo"
-    problems = check_against_baseline(document, cross_mode)
-    assert any("mode" in problem for problem in problems)
 
 
 def test_machine_header_warns_not_fails():
@@ -163,16 +178,16 @@ def test_machine_header_warns_not_fails():
 
 
 def _wall_doc(ops_per_second, calibration):
-    """A minimal schema-5 document with one long-enough timed scenario."""
+    """A minimal document with one long-enough timed scenario."""
     return {
         "preset": "smoke",
-        "mode": "gate",
         "machine": {"calibration_ops_per_second": calibration},
         "scenarios": [
             {
-                "name": "mixed_per_op:synthetic",
+                "name": "mixed/gate/synthetic",
                 "ops": 100_000,
                 "seconds": 1.0,
+                "window_seconds": 1.0,
                 "ops_per_second": ops_per_second,
                 "accesses_per_op": 7.0,
                 "cycles_per_op": 4.0,

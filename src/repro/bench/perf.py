@@ -1,88 +1,50 @@
 """Perf-regression harness for the sort/retrieve hot paths.
 
-Three scenario families, all deterministic per seed:
+``repro bench`` is one table of workloads (:func:`workloads`), each
+declaring its engine × drive **cells**, named ``workload/engine/drive``.
+Every workload goes through the same three steps: an untimed probe pass
+per cell records its served sequence and its deterministic counters
+(memory accesses and circuit cycles per operation); :func:`check_parity`
+refuses the workload, before any timing is kept, unless the cells agree;
+and :func:`time_cells` times the cells in interleaved, collector-paused
+rounds and keeps each cell's best window.  One gate table
+(:data:`GATES`) of (numerator cell, denominator cell, floor, presets)
+rows computes the document's ``ratios``, which :func:`main` holds to
+their floors and :func:`check_against_baseline` to the baseline.  A
+separate untimed instrumented pass adds per-phase distribution data
+(p50/p90/p99/max access counts, occupancy, free-list depth) on the gate
+engine.  DESIGN.md §17 has the workload table and the rules.
 
-* **insert soaks** — fill a circuit with a sorted-random tag load,
-  per-op :meth:`~repro.core.sort_retrieve.TagSortRetrieveCircuit.insert`
-  versus one :meth:`~repro.core.sort_retrieve.TagSortRetrieveCircuit.insert_batch`,
-  swept across the five matcher topologies and three word formats;
-* **dequeue soaks** — drain the same loads per-op versus
-  :meth:`~repro.core.sort_retrieve.TagSortRetrieveCircuit.dequeue_batch`;
-* the **headline mixed soak** — 100k bursty push/pop operations through
-  :class:`~repro.net.hardware_store.HardwareTagStore` (paper word
-  format, default matcher), per-op versus the batched path,
-  with the served sequences compared element-wise before any timing is
-  trusted;
-* the **fabric scale-out phase** — the flow-attributed mixed workload
-  through :class:`~repro.fabric.fabric.ScheduleFabric` at 1/4/16
-  shards versus one circuit, reporting modeled (makespan-cycle)
-  speedup and tournament-aggregation overhead; the full preset gates
-  on the largest fabric reaching
-  :data:`FABRIC_MIN_MODELED_SPEEDUP`× one circuit's enqueue
-  throughput;
-* the **turbo engine phase** — the headline workload driven per-op and
-  batched on both engines (gate-accurate vs access-fused turbo),
-  best-of-3 timed, with served order and per-structure access/cycle
-  accounting asserted *exactly equal* across engines before any
-  speedup is reported; the full preset gates on turbo reaching
-  :data:`TURBO_MIN_SPEEDUP`× the gate per-op baseline, and every
-  preset gates on turbo per-op beating the batched gate path;
-* the **timer dynamic-update phase** — the :mod:`repro.net.timer`
-  churn scenario (insert/cancel/repin-heavy, most entries never reach
-  service) on both engines, with fired sequences, cycle totals, and
-  per-structure accounting asserted exactly equal; the regression
-  fence for the remove/retag cost model;
-* the **vector engine phase** — rounds of
-  :data:`VECTOR_BATCH_WIDTH`-wide ``insert_batch``/``dequeue_batch``
-  pairs on the numpy array engine versus the gate and turbo engines,
-  served sequences asserted identical before timing; every preset
-  gates on vector reaching :data:`VECTOR_MIN_SPEEDUP`× the turbo
-  per-op baseline (the phase skips itself gracefully without numpy).
-
-The ``--mode {gate,turbo,vector}`` flag selects which engine the
-matcher, size, headline, fabric, and distribution phases run on (the
-turbo, timer, and vector phases always measure their engine pairs;
-``--mode vector`` skips the matcher sweep, which has no meaning for
-the array engine); the mode is recorded in the document and
-``--check`` refuses to compare baselines across modes.
-
-Each scenario records wall throughput (machine-dependent, best of
-:data:`BENCH_REPEATS` timed passes) and memory accesses and circuit
-cycles per operation (machine-independent).  A separate **untimed**
-instrumented pass adds per-phase distribution data (p50/p90/p99/max
-access counts, occupancy, free-list depth) through the
-:mod:`repro.obs` telemetry layer.  The results land in
-``BENCH_sort_retrieve.json``; ``--check`` re-runs the suite and fails
-when throughput drops more than 20% below the committed baseline or
-when the access counts grow beyond the same tolerance.  Throughput is
-compared after dividing out the two runs' calibration speed scores
-(:func:`machine_speed_score`), so a host in a different speed state
-than at baseline-recording time does not read as a code change.
-
-Baselines also carry a **forensic reference trace**
-(``BENCH_sort_retrieve.trace.jsonl``): the full framed event stream of
-a short deterministic per-op soak.  When ``--check`` finds a
+``--check`` compares a fresh run to ``BENCH_sort_retrieve.json``: wall
+throughput may drop at most 20% after dividing out the two runs'
+calibration scores (:class:`Calibration`), and accesses and cycles per
+op may grow at most 20%.  Baselines also carry a **forensic reference
+trace** (``BENCH_sort_retrieve.trace.jsonl``): the full framed event
+stream of a short deterministic per-op soak.  When ``--check`` finds a
 regression, the same workload is re-traced and diffed against the
 reference (:mod:`repro.obs.diff`), so the failure report pinpoints the
-first diverging logical operation and the per-kind access deltas —
-not just "it got slower".
+first diverging logical operation and the per-kind access deltas — not
+just "it got slower".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import platform
 import random
+import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.engine import VALID_MODES, make_circuit, numpy_or_none
+from ..core.engine import circuit_from_state, make_circuit, numpy_or_none
 from ..core.matching import ALL_MATCHERS, DEFAULT_MATCHER
-from ..core.sort_retrieve import TagSortRetrieveCircuit
 from ..core.words import PAPER_FORMAT, WordFormat
 from ..net.hardware_store import HardwareTagStore
 from ..obs.diff import TraceCompatibilityError, diff_traces
@@ -98,77 +60,115 @@ BASELINE_FILENAME = "BENCH_sort_retrieve.json"
 #: Allowed fractional slowdown (or access growth) before --check fails.
 REGRESSION_TOLERANCE = 0.20
 
-#: The batched mixed soak must beat the per-op path by this factor.
-#: Originally 2.0; relaxed when the shared store adapter shed its
-#: per-push property-chain overhead (the turbo PR), which sped the
-#: per-op denominator up without touching the batched path — the
-#: machine-independent amortization claim (batched accesses_per_op <
-#: per-op accesses_per_op) is asserted separately and unchanged.
-HEADLINE_MIN_SPEEDUP = 1.5
-
-#: Wall-clock comparisons need at least this much timed work to be
-#: meaningful; shorter scenarios are checked only on their
-#: machine-independent access and cycle counts.
+#: A full-preset window repeats its pass until it spans this much timed
+#: wall clock; wall comparisons read only windows at least this long,
+#: shorter ones are checked on their access and cycle counts alone.
 MIN_TIMED_WALL_SECONDS = 0.2
 
-#: Word formats swept by the size scenarios: 8-, 12- (paper) and 16-bit.
+#: Timing rounds per workload; each keeps a cell's best window.  Two
+#: interleaved rounds of >= MIN_TIMED_WALL_SECONDS windows keep the full
+#: preset inside the time the three per-engine runs it replaces took.
+BENCH_REPEATS = 2
+
+#: Word formats swept by the size workloads: 8-, 12- (paper) and 16-bit.
 SIZE_SWEEP: Tuple[Tuple[str, WordFormat], ...] = (
     ("w8", WordFormat(levels=2, literal_bits=4)),
     ("w12", PAPER_FORMAT),
     ("w16", WordFormat(levels=4, literal_bits=4)),
 )
 
-#: Document schema: 2 added the per-phase ``distributions`` block;
-#: 3 pairs the baseline with a committed forensic reference trace;
-#: 4 adds the ``fabric`` scale-out phase (shard sweep + modeled speedup);
-#: 5 adds the ``turbo`` engine phase, the run ``mode``, and the
-#: ``machine`` header (python/platform/CPU count plus a calibration
-#: speed score; identity fields warn-only in --check, the score
-#: renormalizes wall floors);
-#: 6 adds the ``timer`` dynamic-update phase (timer-wheel churn through
-#: remove/retag on both engines, exact parity);
-#: 7 adds the ``vector`` array-engine phase (wide-batch drains on the
-#: numpy data plane vs the turbo per-op path, exact service parity)
-#: and extends the run ``mode`` to the vector engine.
-_SCHEMA = 7
-
-#: Every timed section runs this many times and reports its fastest
-#: wall clock.  Min-of-N filters scheduler bursts on shared hosts (a
-#: burst only survives if it spans every repeat); the
-#: machine-independent access/cycle metrics are deterministic per seed,
-#: so they are recorded once.
-BENCH_REPEATS = 3
-
-#: The turbo engine must beat the gate-accurate per-op path by this
-#: factor on the full preset (the PR's headline acceptance claim).
-TURBO_MIN_SPEEDUP = 3.0
-
-#: The vector engine's wide-batch drain must beat the turbo per-op path
-#: by this factor — at every preset, because the vector phase pins its
-#: own batch width (the shape the array engine exists for), so the
-#: smoke run measures the same shape, just fewer rounds of it.
-VECTOR_MIN_SPEEDUP = 10.0
-
-#: Batch width of the vector phase's wide-batch rounds: two tag spaces
-#: per insert_batch/dequeue_batch pair (each distinct tag served four
-#: deep), the granularity at which one array op retires thousands of
-#: logical operations and the per-call overhead of the array engine
-#: amortizes out.
+#: Batch width of the wide-batch rounds: two tag spaces per
+#: insert_batch/dequeue_batch pair (each distinct tag served four deep),
+#: the granularity at which one array op retires thousands of logical
+#: operations and the array engine's per-call overhead amortizes out.
 VECTOR_BATCH_WIDTH = 8192
 
-#: Shard counts swept by the fabric scale-out phase.
+#: Shard counts swept by the fabric workload.
 FABRIC_SHARD_SWEEP: Tuple[int, ...] = (1, 4, 16)
-
-#: Modeled (makespan-cycle) enqueue speedup the largest fabric in the
-#: sweep must reach over one circuit, full preset only.
-FABRIC_MIN_MODELED_SPEEDUP = 4.0
 
 #: Operations in the committed forensic reference trace.
 REFERENCE_TRACE_OPS = 2_000
 
+#: Document schema: 2 added the per-phase ``distributions`` block;
+#: 3 pairs the baseline with a committed forensic reference trace;
+#: 4 added the fabric scale-out phase, 5 the turbo phase, the run
+#: ``mode`` and the ``machine`` header, 6 the timer phase, 7 the vector
+#: phase; 8 folds every phase into one workload × engine ``scenarios``
+#: matrix plus the gate table's ``ratios``, and drops ``mode``.
+_SCHEMA = 8
 
-#: Iterations of the calibration kernel timed by :func:`machine_speed_score`.
+#: Iterations of the calibration kernel per :class:`Calibration` slice.
 _CALIBRATION_OPS = 50_000
+
+@dataclass(frozen=True)
+class Preset:
+    """Workload sizes and the timed-window length of one preset."""
+
+    sorted_counts: Dict[str, int]
+    mixed: int
+    fabric: int
+    timer: int
+    min_window: float
+
+
+PRESETS: Dict[str, Preset] = {
+    "full": Preset(
+        sorted_counts={"w8": 256, "w12": 4096, "w16": 8192},
+        mixed=100_000,
+        fabric=40_000,
+        timer=40_000,
+        min_window=MIN_TIMED_WALL_SECONDS,
+    ),
+    # One pass per window: seconds, not minutes.
+    "smoke": Preset(
+        sorted_counts={"w8": 128, "w12": 256, "w16": 256},
+        mixed=2_000,
+        fabric=2_000,
+        timer=2_000,
+        min_window=0.0,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One row of the gate table: a ratio of two cells' speeds.
+
+    A wall row divides the denominator's seconds per pass by the
+    numerator's (both cells of one workload, so equal ops); a
+    ``modeled`` row divides the denominator's cycles per op by the
+    numerator's, which is deterministic.  ``floor`` fails a run below
+    it on the ``presets`` named; every row is checked against the
+    baseline.
+    """
+
+    name: str
+    numerator: str
+    denominator: str
+    floor: Optional[float] = None
+    presets: Tuple[str, ...] = ()
+    modeled: bool = False
+
+
+_WIDEST = f"fabric/gate/shards={FABRIC_SHARD_SWEEP[-1]}"
+
+GATES: Tuple[Gate, ...] = (
+    # The batched store path amortizes the per-op overhead.
+    Gate("batched_speedup", "mixed/gate/batched", "mixed/gate/per_op",
+         1.5, ("full",)),
+    Gate("turbo_speedup", "mixed/turbo/per_op", "mixed/gate/per_op",
+         3.0, ("full",)),
+    Gate("turbo_vs_batched", "mixed/turbo/per_op", "mixed/gate/batched",
+         1.0, ("full", "smoke")),
+    # The wide-batch cells pin their own batch width, so the smoke run
+    # measures the same shape and the floor holds on every preset.
+    Gate("vector_speedup", "widebatch/vector/batched",
+         "widebatch/turbo/per_op", 10.0, ("full", "smoke")),
+    Gate("fabric_modeled_speedup", _WIDEST, "fabric/gate/circuit",
+         4.0, ("full",), modeled=True),
+    Gate("fabric_wall_speedup", _WIDEST, "fabric/gate/circuit"),
+    Gate("timer_speedup", "timer/turbo/churn", "timer/gate/churn"),
+)
 
 
 def _calibration_kernel(ops: int = _CALIBRATION_OPS) -> int:
@@ -183,40 +183,39 @@ def _calibration_kernel(ops: int = _CALIBRATION_OPS) -> int:
     return acc
 
 
-def machine_speed_score() -> float:
-    """Calibration-kernel iterations per second, best of five runs.
+class Calibration:
+    """The machine's speed, sampled in slices between timing rounds.
 
-    Wall throughput is only comparable across runs after dividing out
-    how fast the machine happened to be: on shared or thermally
-    throttled hosts the same code swings well past the regression
-    tolerance between otherwise-identical runs.
-    :func:`check_against_baseline` divides current throughput by the
-    ratio of this score between the two documents, so a uniformly slow
-    (or fast) machine state cancels out and only code-relative wall
-    changes remain visible.
+    ``--check`` divides wall throughput by the ratio of two runs'
+    scores; the score is the median slice, so it tracks the speed the
+    timed rounds ran at rather than one lucky burst.
     """
-    best = float("inf")
-    for _ in range(5):
-        seconds, _ = _timed(_calibration_kernel)
-        best = min(best, seconds)
-    return round(_CALIBRATION_OPS / best, 1)
+
+    def __init__(self) -> None:
+        self.slices: List[float] = []
+
+    def sample(self) -> None:
+        start = time.perf_counter()
+        _calibration_kernel()
+        self.slices.append(_CALIBRATION_OPS / (time.perf_counter() - start))
+
+    def score(self) -> float:
+        """Calibration-kernel iterations per second, median slice."""
+        return round(statistics.median(self.slices), 1)
 
 
-def machine_info() -> Dict:
+def machine_info(calibration: Calibration) -> Dict:
     """The machine header recorded in every bench document.
 
-    Wall-clock numbers are machine-dependent; the committed baseline
-    carries this block so ``--check`` can *warn* (never fail) when the
-    comparison crosses interpreters or hardware, and can renormalize
-    wall floors by the calibration speed score when the same machine is
-    merely in a different speed state.
+    ``--check`` warns (never fails) when the identity fields differ, and
+    divides wall throughput by the ratio of the calibration scores.
     """
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "calibration_ops_per_second": machine_speed_score(),
+        "calibration_ops_per_second": calibration.score(),
     }
 
 
@@ -227,13 +226,8 @@ def machine_mismatch_warnings(current: Dict, baseline: Dict) -> List[str]:
     machine mismatch makes wall-clock comparisons *suspect*, not
     *wrong*, so it warns instead of failing the check.
     """
-    old = baseline.get("machine")
-    if not old:
-        return [
-            "baseline has no machine header (pre-schema-5); regenerate "
-            "it to enable cross-machine comparison warnings"
-        ]
-    new = current.get("machine") or machine_info()
+    old = baseline.get("machine") or {}
+    new = current.get("machine") or {}
     warnings = []
     for key in ("python", "implementation", "platform", "cpu_count"):
         if old.get(key) != new.get(key):
@@ -254,116 +248,13 @@ def machine_mismatch_warnings(current: Dict, baseline: Dict) -> List[str]:
     return warnings
 
 
+# ----------------------------------------------------------------------
+# workload generators and store drives (shared with the soak runners)
+
+
 def _sorted_tags(fmt: WordFormat, count: int, seed: int) -> List[int]:
     rng = random.Random(seed)
     return sorted(rng.randrange(fmt.capacity) for _ in range(count))
-
-
-def _timed(fn) -> Tuple[float, object]:
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
-def _scenario(
-    name: str,
-    *,
-    ops: int,
-    seconds: float,
-    accesses: int,
-    cycles: int,
-    **extra,
-) -> Dict:
-    record = {
-        "name": name,
-        "ops": ops,
-        "seconds": round(seconds, 6),
-        "ops_per_second": round(ops / seconds, 1) if seconds > 0 else 0.0,
-        "accesses_per_op": round(accesses / ops, 4) if ops else 0.0,
-        "cycles_per_op": round(cycles / ops, 4) if ops else 0.0,
-    }
-    record.update(extra)
-    return record
-
-
-def _bench_insert_dequeue(
-    label: str,
-    fmt: WordFormat,
-    matcher_factory,
-    count: int,
-    seed: int,
-    mode: str = "gate",
-) -> List[Dict]:
-    """Per-op and batched insert+dequeue soaks on one configuration.
-
-    Each discipline repeats :data:`BENCH_REPEATS` times on a fresh
-    circuit and keeps its fastest wall clock; the access/cycle counts
-    are deterministic, so the first pass records them.
-    """
-    tags = _sorted_tags(fmt, count, seed)
-    capacity = count
-
-    def fresh():
-        return make_circuit(
-            fmt, capacity=capacity, matcher_factory=matcher_factory,
-            mode=mode,
-        )
-
-    best: Dict[str, float] = {}
-    metrics: Dict[str, Tuple[int, int]] = {}
-
-    def record(key: str, seconds: float, accesses: int, cycles: int) -> None:
-        if key not in best or seconds < best[key]:
-            best[key] = seconds
-        metrics.setdefault(key, (accesses, cycles))
-
-    for _ in range(BENCH_REPEATS):
-        # -- per-op insert, then per-op dequeue on the filled circuit
-        circuit = fresh()
-        seconds, _ = _timed(lambda: [circuit.insert(tag) for tag in tags])
-        stats = circuit.registry.total()
-        record("insert_per_op", seconds, stats.total, circuit.cycles)
-        before = circuit.registry.total()
-        cycles_before = circuit.cycles
-        seconds, _ = _timed(
-            lambda: [circuit.dequeue_min() for _ in range(count)]
-        )
-        stats = circuit.registry.total()
-        record(
-            "dequeue_per_op",
-            seconds,
-            stats.total - before.total,
-            circuit.cycles - cycles_before,
-        )
-
-        # -- batched insert, then one batched dequeue of everything
-        circuit = fresh()
-        seconds, _ = _timed(lambda: circuit.insert_batch(tags))
-        stats = circuit.registry.total()
-        record("insert_batch", seconds, stats.total, circuit.cycles)
-        before = circuit.registry.total()
-        cycles_before = circuit.cycles
-        seconds, _ = _timed(lambda: circuit.dequeue_batch(count))
-        stats = circuit.registry.total()
-        record(
-            "dequeue_batch",
-            seconds,
-            stats.total - before.total,
-            circuit.cycles - cycles_before,
-        )
-
-    return [
-        _scenario(
-            f"{key}:{label}",
-            ops=count,
-            seconds=best[key],
-            accesses=metrics[key][0],
-            cycles=metrics[key][1],
-        )
-        for key in (
-            "insert_per_op", "dequeue_per_op", "insert_batch", "dequeue_batch"
-        )
-    ]
 
 
 def make_mixed_ops(count: int, seed: int, *, max_backlog: int = 512) -> List:
@@ -469,6 +360,494 @@ def _drive_batched(store: HardwareTagStore, ops: List) -> List:
     return served
 
 
+# ----------------------------------------------------------------------
+# cells, probes and the one timer
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One engine × drive coordinate of a workload.
+
+    ``setup`` builds fresh state outside the timed span, ``run`` is the
+    timed pass over it, and ``observe(state, output)`` reads a probe
+    pass's served sequence and counters.  Cells of one workload that
+    share an ``order`` must serve the same sequence.
+    """
+
+    name: str
+    engine: str
+    drive: str
+    setup: Callable[[], object]
+    run: Callable[[object], object]
+    observe: Optional[Callable[[object, object], "Observation"]] = None
+    order: str = ""
+
+
+@dataclass
+class Observation:
+    """What an untimed probe pass of one cell served and charged."""
+
+    served: object
+    ops: int
+    cycles: int
+    structures: Dict[str, Tuple[int, int]]
+    extras: Dict = field(default_factory=dict)
+
+
+class ParityError(AssertionError):
+    """A workload's cells disagree, so none of its timings may be kept."""
+
+
+@dataclass(frozen=True)
+class Timing:
+    """A cell's best window: seconds per pass, window length, passes."""
+
+    seconds: float
+    window: float
+    passes: int
+
+
+def _observe(circuits, cycles: int, served, ops: int, **extras) -> Observation:
+    """Per-structure (reads, writes), shard-prefixed when there are several."""
+    structures: Dict[str, Tuple[int, int]] = {}
+    for index, circuit in enumerate(circuits):
+        prefix = f"{index}." if len(circuits) > 1 else ""
+        registry = circuit.registry
+        for name in registry.names():
+            structures[prefix + name] = (
+                registry[name].reads, registry[name].writes,
+            )
+    return Observation(served, ops, cycles, structures, extras)
+
+
+def _observe_store(ops: int, store, served, **extras) -> Observation:
+    return _observe([store.circuit], store.cycles, served, ops, **extras)
+
+
+def _window(cell: Cell, min_window: float) -> Timing:
+    """One window: passes on fresh state until ``min_window`` is timed."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        elapsed = 0.0
+        passes = 0
+        while passes == 0 or elapsed < min_window:
+            state = cell.setup()
+            start = time.perf_counter()
+            output = cell.run(state)
+            elapsed += time.perf_counter() - start
+            passes += 1
+            del output  # freed off the clock
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return Timing(elapsed / passes, elapsed, passes)
+
+
+def time_cells(
+    cells: List[Cell],
+    *,
+    rounds: int = BENCH_REPEATS,
+    min_window: float = MIN_TIMED_WALL_SECONDS,
+    calibration: Optional[Calibration] = None,
+) -> Dict[str, Timing]:
+    """Time every cell; returns each cell's best window by name.
+
+    Rounds run round-robin across the cells, so CPU frequency drift
+    lands on every side of a ratio alike.  The collector is paused
+    inside each window (allocation-heavy drives otherwise spend a
+    machine-dependent slice of their wall in collections), and a
+    calibration slice is taken after each round.
+    """
+    best: Dict[str, Timing] = {}
+    for _ in range(rounds):
+        for cell in cells:
+            timing = _window(cell, min_window)
+            kept = best.get(cell.name)
+            if kept is None or timing.seconds < kept.seconds:
+                best[cell.name] = timing
+        if calibration is not None:
+            calibration.sample()
+    return best
+
+
+def check_parity(
+    cells: List[Cell], observations: Dict[str, Observation]
+) -> None:
+    """Raise :class:`ParityError` unless the probe passes agree.
+
+    Every cell serves the sequence of the first cell of its ``order``;
+    the gate and turbo cells of one drive charge identical cycles and
+    per-structure counters.
+    """
+    references: Dict[str, str] = {}
+    for cell in cells:
+        reference = references.setdefault(cell.order, cell.name)
+        if observations[cell.name].served != observations[reference].served:
+            raise ParityError(
+                f"{cell.name} served a different sequence than "
+                f"{reference}: the cells do not measure the same work, "
+                "refusing to time them"
+            )
+    scalar: Dict[str, Dict[str, Cell]] = {}
+    for cell in cells:
+        if cell.engine in ("gate", "turbo"):
+            scalar.setdefault(cell.drive, {})[cell.engine] = cell
+    for pair in scalar.values():
+        if len(pair) < 2:
+            continue
+        gate = observations[pair["gate"].name]
+        turbo = observations[pair["turbo"].name]
+        if gate.cycles != turbo.cycles:
+            raise ParityError(
+                f"{pair['turbo'].name} cycles {turbo.cycles} != "
+                f"{pair['gate'].name} cycles {gate.cycles}"
+            )
+        if gate.structures != turbo.structures:
+            raise ParityError(
+                f"per-structure access counters of {pair['turbo'].name} "
+                f"diverge from {pair['gate'].name}"
+            )
+
+
+def run_workload(
+    cells: List[Cell],
+    *,
+    min_window: float = MIN_TIMED_WALL_SECONDS,
+    calibration: Optional[Calibration] = None,
+) -> List[Dict]:
+    """Probe, parity-check, then time one workload; its scenario records."""
+    observations: Dict[str, Observation] = {}
+    for cell in cells:
+        state = cell.setup()
+        observations[cell.name] = cell.observe(state, cell.run(state))
+    check_parity(cells, observations)
+    timings = time_cells(cells, min_window=min_window, calibration=calibration)
+    return [
+        _scenario(cell, observations[cell.name], timings[cell.name])
+        for cell in cells
+    ]
+
+
+def _scenario(cell: Cell, observation: Observation, timing: Timing) -> Dict:
+    ops = observation.ops
+    record = {
+        "name": cell.name,
+        "engine": cell.engine,
+        "ops": ops,
+        "seconds": round(timing.seconds, 6),
+        "window_seconds": round(timing.window, 6),
+        "passes": timing.passes,
+        "ops_per_second": round(ops / timing.seconds, 1),
+        "accesses_per_op": round(
+            sum(map(sum, observation.structures.values())) / ops, 4
+        ),
+        "cycles_per_op": round(observation.cycles / ops, 4),
+    }
+    record.update(observation.extras)
+    return record
+
+
+# ----------------------------------------------------------------------
+# the workload table
+
+
+def _restored(state: Dict, engine: str):
+    """A circuit restored from ``state``, its counters zeroed for the drain."""
+    circuit = circuit_from_state(state, mode=engine)
+    circuit.registry.reset_all()
+    circuit.cycles = 0
+    return circuit
+
+
+def _sorted_cells(
+    workload: str,
+    fmt: WordFormat,
+    count: int,
+    seed: int,
+    variants: List[Tuple[str, object]],
+    *,
+    drains: bool = True,
+) -> List[Cell]:
+    """Sorted fill, and drain of the filled circuit, per-op and batched.
+
+    One cell per (engine, matcher) variant and drive.  A drain starts
+    from a snapshot of the filled circuit, the cheapest set-up there is.
+    """
+    tags = _sorted_tags(fmt, count, seed)
+
+    def insert_per_op(circuit) -> None:
+        for tag in tags:
+            circuit.insert(tag)
+
+    def insert_batch(circuit) -> None:
+        circuit.insert_batch(tags)
+
+    def dequeue_per_op(circuit) -> List:
+        return [circuit.dequeue_min() for _ in range(count)]
+
+    def dequeue_batch(circuit) -> List:
+        return circuit.dequeue_batch(count)
+
+    def observe(circuit, served) -> Observation:
+        observation = _observe([circuit], circuit.cycles, served, count)
+        if served is None:
+            # A fill serves nothing itself; parity reads what it holds.
+            observation.served = circuit.dequeue_batch(count)
+        return observation
+
+    if drains:
+        template = make_circuit(fmt, capacity=count)
+        template.insert_batch(tags)
+        filled_state = template.to_state()
+    cells = []
+    for engine, matcher in variants:
+        fresh = partial(
+            make_circuit, fmt, capacity=count, mode=engine,
+            matcher_factory=matcher,
+        )
+        drives = [("insert_per_op", fresh, insert_per_op),
+                  ("insert_batch", fresh, insert_batch)]
+        if drains:
+            filled = partial(_restored, filled_state, engine)
+            drives[1:1] = [("dequeue_per_op", filled, dequeue_per_op)]
+            drives.append(("dequeue_batch", filled, dequeue_batch))
+        cells.extend(
+            Cell(f"{workload}/{engine}/{drive}", engine, drive, setup, run,
+                 observe)
+            for drive, setup, run in drives
+        )
+    return cells
+
+
+def _mixed_cells(
+    count: int, seed: int, engines: Tuple[str, ...]
+) -> List[Cell]:
+    """The bursty mixed stream through one store, per-op and batched."""
+    ops = make_mixed_ops(count, seed)
+    return [
+        Cell(
+            f"mixed/{engine}/{drive}", engine, drive,
+            partial(HardwareTagStore, granularity=8.0, mode=engine),
+            partial(run, ops=ops), partial(_observe_store, count),
+        )
+        for engine in engines
+        for drive, run in (
+            ("per_op", _drive_per_op), ("batched", _drive_batched)
+        )
+    ]
+
+
+def _fabric_cells(
+    count: int, seed: int, engines: Tuple[str, ...]
+) -> List[Cell]:
+    """The flow-attributed stream, batched, through one store and fabrics.
+
+    A fabric cell's ``cycles_per_op`` is modeled *makespan* time (the
+    shards are parallel hardware), the quantity that shrinks as the
+    fabric widens; it also reports tournament comparisons per op, the
+    aggregation overhead, which grows O(log shards).
+    """
+    from ..fabric.fabric import ScheduleFabric
+
+    ops = make_flow_ops(count, seed)
+    drive = partial(_drive_batched, ops=ops)
+
+    def observe_fabric(fabric, served) -> Observation:
+        return _observe(
+            [store.circuit for store in fabric.stores], fabric.cycles,
+            served, count,
+            shards=len(fabric.stores),
+            cycles_total=fabric.cycles_total,
+            comparisons_per_op=round(fabric.tournament.comparisons / count, 4),
+            spills=fabric.manager.spill_count,
+            rebalances=fabric.manager.rebalance_count,
+        )
+
+    cells = []
+    for engine in engines:
+        cells.append(
+            Cell(
+                f"fabric/{engine}/circuit", engine, "circuit",
+                partial(HardwareTagStore, granularity=8.0, mode=engine),
+                drive, partial(_observe_store, count), order="shards=1",
+            )
+        )
+        for shards in FABRIC_SHARD_SWEEP:
+            cells.append(
+                Cell(
+                    f"fabric/{engine}/shards={shards}", engine,
+                    f"shards={shards}",
+                    partial(
+                        ScheduleFabric, shards=shards, granularity=8.0,
+                        mode=engine,
+                    ),
+                    drive, observe_fabric, order=f"shards={shards}",
+                )
+            )
+    return cells
+
+
+def _timer_cells(count: int, seed: int) -> List[Cell]:
+    """Timer-wheel churn through remove/retag, one soak per pass.
+
+    The regression fence for the removal/retag cost model: a change to
+    the unlink path or the marker-clear discipline shows up in these
+    cells' ``cycles_per_op`` / ``accesses_per_op``.
+    """
+    from ..net.timer import run_timer_soak
+
+    def observe(_state, run) -> Observation:
+        name = f"timer/{run.mode}/churn"
+        if not run.served_in_order:
+            raise ParityError(f"{name}: timers fired out of deadline order")
+        if not run.conserved:
+            raise ParityError(f"{name}: timer conservation broken")
+        return _observe_store(
+            run.operations, run.backend, run.fired_deadlines,
+            events=count, armed=run.armed, cancelled=run.cancelled,
+            repinned=run.repinned, fired=run.fired,
+        )
+
+    return [
+        Cell(
+            f"timer/{engine}/churn", engine, "churn", lambda: None,
+            lambda _state, engine=engine: run_timer_soak(
+                pattern="churn", events=count, seed=seed, mode=engine
+            ),
+            observe,
+        )
+        for engine in ("gate", "turbo")
+    ]
+
+
+def _widebatch_cells(
+    count: int, seed: int, engines: Tuple[str, ...]
+) -> List[Cell]:
+    """Wide insert/dequeue batch rounds, at least four, about ``count`` ops."""
+    width = VECTOR_BATCH_WIDTH
+    space = PAPER_FORMAT.capacity
+    rng = random.Random(seed)
+    rounds: List[List[int]] = []
+    base = 0
+    for _ in range(max(4, count // (2 * width))):
+        # Nondecreasing in modular order (duplicates adjacent), so the
+        # batched paths' sorted-allocation addresses coincide with the
+        # per-op path's input-order addresses and every cell can be
+        # compared ServedTag-for-ServedTag, address included.
+        rounds.append(
+            [(base + i * (space // 2) // width) % space for i in range(width)]
+        )
+        base = (base + rng.randrange(32, 96)) % space
+    ops = len(rounds) * 2 * width
+
+    def batched(circuit) -> List:
+        served: List = []
+        extend = served.extend
+        for tags in rounds:
+            circuit.insert_batch(tags)
+            extend(circuit.dequeue_batch(width))
+        return served
+
+    def per_op(circuit) -> List:
+        served: List = []
+        append = served.append
+        for tags in rounds:
+            for tag in tags:
+                circuit.insert(tag)
+            for _ in range(width):
+                append(circuit.dequeue_min())
+        return served
+
+    def observe(circuit, served) -> Observation:
+        return _observe([circuit], circuit.cycles, served, ops)
+
+    variants = [("gate", "batched"), ("turbo", "per_op"), ("turbo", "batched")]
+    if "vector" in engines:
+        variants.append(("vector", "batched"))
+    return [
+        Cell(
+            f"widebatch/{engine}/{drive}", engine, drive,
+            partial(
+                make_circuit, PAPER_FORMAT, mode=engine, capacity=2 * width,
+                modular=True,
+            ),
+            batched if drive == "batched" else per_op, observe,
+        )
+        for engine, drive in variants
+    ]
+
+
+def workloads(preset: str, seed: int) -> Iterator[List[Cell]]:
+    """The bench's workloads, each as its list of cells, built lazily."""
+    sizes = PRESETS[preset]
+    engines = ("gate", "turbo") + (("vector",) if numpy_or_none() else ())
+    for label, fmt in SIZE_SWEEP:
+        yield _sorted_cells(
+            f"size={label}", fmt, sizes.sorted_counts[label], seed,
+            [(engine, None) for engine in engines],
+        )
+    for name, matcher in sorted(ALL_MATCHERS.items()):
+        if matcher is not DEFAULT_MATCHER:
+            # A drain never searches the tree, so it never calls the
+            # matcher: size=w12's gate drains time it for every topology.
+            yield _sorted_cells(
+                f"matcher={name}", PAPER_FORMAT, sizes.sorted_counts["w12"],
+                seed, [("gate", matcher)], drains=False,
+            )
+    yield _mixed_cells(sizes.mixed, seed, engines)
+    yield _fabric_cells(sizes.fabric, seed, engines)
+    yield _timer_cells(sizes.timer, seed)
+    yield _widebatch_cells(sizes.mixed, seed, engines)
+
+
+def compute_ratios(scenarios: List[Dict]) -> Dict[str, Dict]:
+    """Every :data:`GATES` row whose two cells ran, by row name."""
+    cells = {scenario["name"]: scenario for scenario in scenarios}
+    ratios = {}
+    for gate in GATES:
+        numerator = cells.get(gate.numerator)
+        denominator = cells.get(gate.denominator)
+        if numerator is None or denominator is None:
+            continue  # vector cells on a host without numpy
+        if gate.modeled:
+            value = denominator["cycles_per_op"] / numerator["cycles_per_op"]
+        else:
+            value = denominator["seconds"] / numerator["seconds"]
+        ratios[gate.name] = {
+            "numerator": gate.numerator,
+            "denominator": gate.denominator,
+            "kind": "modeled" if gate.modeled else "wall",
+            "value": round(value, 2),
+            "floor": gate.floor,
+            "presets": list(gate.presets),
+        }
+    return ratios
+
+
+def floor_failures(document: Dict) -> List[str]:
+    """One message per ratio below its floor on the document's preset."""
+    failures = []
+    for gate in GATES:
+        ratio = document["ratios"].get(gate.name)
+        if (
+            ratio is None
+            or gate.floor is None
+            or document["preset"] not in gate.presets
+        ):
+            continue
+        if ratio["value"] < gate.floor:
+            failures.append(
+                f"{gate.name} {ratio['value']}x ({gate.numerator} over "
+                f"{gate.denominator}) is below the required {gate.floor}x"
+            )
+    return failures
+
+
+# ----------------------------------------------------------------------
+# forensic reference trace
+
+
 def reference_trace_path(baseline_path: str) -> str:
     """``BENCH_sort_retrieve.json`` → ``BENCH_sort_retrieve.trace.jsonl``."""
     if baseline_path.endswith(".json"):
@@ -484,7 +863,7 @@ def record_reference_trace(
 ) -> Tuple[List, Dict]:
     """Drive the deterministic forensic workload with a live tracer.
 
-    A short per-op mixed soak (same generator as the headline scenario)
+    A short per-op mixed soak (same generator as the ``mixed`` workload)
     whose full event stream is the *forensic reference*: committed
     alongside the baseline JSON so that a ``--check`` regression can be
     diffed operation-by-operation against the exact run that set the
@@ -518,9 +897,8 @@ def _forensic_diff(baseline_path: str, seed: int) -> None:
         reference = read_trace(trace_path)
     except FileNotFoundError:
         print(
-            f"  (no reference trace at {trace_path} — schema-2 era "
-            f"baseline; rerun 'python -m repro bench' to record one and "
-            f"enable forensic diffs)",
+            f"  (no reference trace at {trace_path}; rerun 'python -m "
+            "repro bench' to record one and enable forensic diffs)",
             file=sys.stderr,
         )
         return
@@ -541,588 +919,22 @@ def _forensic_diff(baseline_path: str, seed: int) -> None:
         print(f"  {line}", file=sys.stderr)
 
 
-def _bench_headline(count: int, seed: int, mode: str = "gate") -> Dict:
-    """The acceptance scenario: 100k mixed ops, per-op vs batched.
-
-    Both disciplines run best-of-:data:`BENCH_REPEATS` so the reported
-    speedup is a ratio of two clean timings, not of whichever side a
-    scheduler burst happened to land on.
-    """
-    granularity = 8.0
-    ops = make_mixed_ops(count, seed)
-
-    def best_of(batched: bool):
-        drive = _drive_batched if batched else _drive_per_op
-        best = None
-        for _ in range(BENCH_REPEATS):
-            store = HardwareTagStore(granularity=granularity, mode=mode)
-            seconds, served = _timed(lambda: drive(store, ops))
-            if best is None or seconds < best[0]:
-                best = (seconds, served, store)
-        return best
-
-    seconds_per_op, served_per_op, store = best_of(batched=False)
-    per_op = _scenario(
-        "mixed_per_op:headline",
-        ops=count,
-        seconds=seconds_per_op,
-        accesses=store.circuit.registry.total().total,
-        cycles=store.cycles,
-    )
-
-    seconds_batch, served_batch, store = best_of(batched=True)
-    batched = _scenario(
-        "mixed_batched:headline",
-        ops=count,
-        seconds=seconds_batch,
-        accesses=store.circuit.registry.total().total,
-        cycles=store.cycles,
-    )
-
-    if served_per_op != served_batch:
-        raise AssertionError(
-            "batched mixed soak served a different sequence than per-op: "
-            "timings are meaningless, refusing to report them"
-        )
-    speedup = seconds_per_op / seconds_batch if seconds_batch > 0 else 0.0
-    return {
-        "name": "mixed_100k_paper_default",
-        "ops": count,
-        "granularity": granularity,
-        "per_op": per_op,
-        "batched": batched,
-        "speedup": round(speedup, 2),
-        "served_orders_identical": True,
-    }
-
-
-def _bench_fabric(
-    count: int, seed: int, mode: str = "gate"
-) -> Tuple[Dict, List[Dict]]:
-    """The scale-out phase: shard sweep vs one circuit, batched paths.
-
-    Drives the same flow-attributed mixed workload through a single
-    :class:`HardwareTagStore` and through
-    :class:`~repro.fabric.fabric.ScheduleFabric` at each sweep size.
-    Two speed measures per fabric:
-
-    * wall throughput — honest about the Python facade's routing cost
-      (regression-checked like every scenario), and **wall speedup**,
-      single-circuit batched seconds over fabric seconds: the measured
-      counterpart of the modeled figure, reported beside it;
-    * **modeled speedup** — single-circuit cycles over fabric *makespan*
-      cycles.  The shards are independent parallel hardware, so makespan
-      is the fabric's busy time; this is the paper-units scale-out claim
-      the full preset gates on (:data:`FABRIC_MIN_MODELED_SPEEDUP`).
-
-    The one-shard fabric must serve the exact single-circuit sequence
-    (the degenerate-fabric equivalence) before any number is reported.
-    Also records tournament comparisons per op — the aggregation
-    overhead, which grows O(log shards) while modeled speedup grows
-    ~linearly.
-    """
-    from ..fabric.fabric import ScheduleFabric
-
-    granularity = 8.0
-    ops = make_flow_ops(count, seed)
-
-    best = None
-    for _ in range(BENCH_REPEATS):
-        store = HardwareTagStore(granularity=granularity, mode=mode)
-        seconds, served_single = _timed(lambda: _drive_batched(store, ops))
-        if best is None or seconds < best[0]:
-            best = (seconds, served_single, store)
-    single_seconds, served_single, store = best
-    single_cycles = store.cycles
-    scenarios = [
-        _scenario(
-            "fabric_single_circuit:batched",
-            ops=count,
-            seconds=single_seconds,
-            accesses=store.circuit.registry.total().total,
-            cycles=single_cycles,
-        )
-    ]
-
-    sweep: List[Dict] = []
-    for shards in FABRIC_SHARD_SWEEP:
-        best = None
-        for _ in range(BENCH_REPEATS):
-            fabric = ScheduleFabric(
-                shards=shards, granularity=granularity, mode=mode
-            )
-            seconds, served = _timed(lambda: _drive_batched(fabric, ops))
-            if best is None or seconds < best[0]:
-                best = (seconds, served, fabric)
-        seconds, served, fabric = best
-        if shards == 1 and served != served_single:
-            raise AssertionError(
-                "one-shard fabric served a different sequence than the "
-                "bare circuit: the sweep is not measuring the same work, "
-                "refusing to report it"
-            )
-        accesses = sum(
-            shard_store.circuit.registry.total().total
-            for shard_store in fabric.stores
-        )
-        scenario = _scenario(
-            f"fabric_batched:shards={shards}",
-            ops=count,
-            seconds=seconds,
-            accesses=accesses,
-            # _scenario's cycles_per_op uses modeled (makespan) time —
-            # the quantity that shrinks as the fabric widens.
-            cycles=fabric.cycles,
-            shards=shards,
-            cycles_total=fabric.cycles_total,
-            modeled_speedup=round(single_cycles / fabric.cycles, 2),
-            wall_speedup=round(single_seconds / seconds, 2),
-            comparisons_per_op=round(
-                fabric.tournament.comparisons / count, 4
-            ),
-            spills=fabric.manager.spill_count,
-            rebalances=fabric.manager.rebalance_count,
-        )
-        scenarios.append(scenario)
-        sweep.append(
-            {
-                "shards": shards,
-                "modeled_speedup": scenario["modeled_speedup"],
-                "wall_speedup": scenario["wall_speedup"],
-                "comparisons_per_op": scenario["comparisons_per_op"],
-                "ops_per_second": scenario["ops_per_second"],
-            }
-        )
-
-    summary = {
-        "name": "fabric_shard_sweep",
-        "ops": count,
-        "granularity": granularity,
-        "single_circuit_cycles": single_cycles,
-        "sweep": sweep,
-        "max_shards": FABRIC_SHARD_SWEEP[-1],
-        "modeled_speedup": sweep[-1]["modeled_speedup"],
-        "wall_speedup": sweep[-1]["wall_speedup"],
-        "min_modeled_speedup": FABRIC_MIN_MODELED_SPEEDUP,
-        "one_shard_order_identical": True,
-    }
-    return summary, scenarios
-
-
-def _fabric_timed(document: Dict) -> bool:
-    """Whether the fabric phase's wall speedup rests on timed runs.
-
-    Both sides of the ratio — the single circuit and the widest fabric
-    — must span :data:`MIN_TIMED_WALL_SECONDS`.
-    """
-    seconds = {
-        scenario["name"]: scenario["seconds"]
-        for scenario in document.get("scenarios", ())
-    }
-    names = (
-        "fabric_single_circuit:batched",
-        f"fabric_batched:shards={document['fabric'].get('max_shards')}",
-    )
-    return all(
-        seconds.get(name, 0.0) >= MIN_TIMED_WALL_SECONDS for name in names
-    )
-
-
-def _registry_snapshot(store: HardwareTagStore) -> Dict[str, Tuple[int, int]]:
-    """Per-structure (reads, writes) — the exact-parity comparison key."""
-    registry = store.circuit.registry
-    return {
-        name: (registry[name].reads, registry[name].writes)
-        for name in registry.names()
-    }
-
-
-def _bench_turbo(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
-    """The turbo engine phase: both engines, both drive modes, exact parity.
-
-    Each of the four variants (gate/turbo × per-op/batched) runs the
-    identical headline-shaped workload best-of-:data:`BENCH_REPEATS`.
-    Before any speedup
-    is reported the phase asserts the turbo engine is *bit-identical*
-    to the gate-accurate engine in everything but wall clock: the
-    served sequences, the circuit cycle counters, and the per-structure
-    read/write counters must match exactly (same drive mode compared
-    against same drive mode).  The headline number is turbo per-op over
-    gate per-op — the "≥3× with exact parity" claim — and
-    ``turbo_vs_batched`` shows per-op turbo clearing even the batched
-    gate path.
-    """
-    granularity = 8.0
-    ops = make_mixed_ops(count, seed)
-
-    def best_of_three(mode: str, batched: bool):
-        drive = _drive_batched if batched else _drive_per_op
-        best = None
-        for _ in range(BENCH_REPEATS):
-            store = HardwareTagStore(granularity=granularity, mode=mode)
-            seconds, served = _timed(lambda: drive(store, ops))
-            if best is None or seconds < best[0]:
-                best = (seconds, served, store)
-        return best
-
-    variants: Dict[str, Tuple[float, List, HardwareTagStore]] = {}
-    scenarios: List[Dict] = []
-    for key, mode, batched in (
-        ("gate_per_op", "gate", False),
-        ("gate_batched", "gate", True),
-        ("turbo_per_op", "turbo", False),
-        ("turbo_batched", "turbo", True),
-    ):
-        seconds, served, store = best_of_three(mode, batched)
-        variants[key] = (seconds, served, store)
-        scenario = _scenario(
-            f"turbo_phase_{key}:headline",
-            ops=count,
-            seconds=seconds,
-            accesses=store.circuit.registry.total().total,
-            cycles=store.cycles,
-            engine=mode,
-        )
-        scenarios.append(scenario)
-
-    reference_served = variants["gate_per_op"][1]
-    for key in ("gate_batched", "turbo_per_op", "turbo_batched"):
-        if variants[key][1] != reference_served:
-            raise AssertionError(
-                f"turbo phase: {key} served a different sequence than "
-                "gate_per_op — engines are not equivalent, refusing to "
-                "report timings"
-            )
-    for gate_key, turbo_key in (
-        ("gate_per_op", "turbo_per_op"),
-        ("gate_batched", "turbo_batched"),
-    ):
-        gate_store = variants[gate_key][2]
-        turbo_store = variants[turbo_key][2]
-        if gate_store.cycles != turbo_store.cycles:
-            raise AssertionError(
-                f"turbo phase: {turbo_key} cycles {turbo_store.cycles} != "
-                f"{gate_key} cycles {gate_store.cycles}"
-            )
-        if _registry_snapshot(gate_store) != _registry_snapshot(turbo_store):
-            raise AssertionError(
-                f"turbo phase: per-structure access counters of "
-                f"{turbo_key} diverge from {gate_key}"
-            )
-
-    gate_seconds = variants["gate_per_op"][0]
-    turbo_seconds = variants["turbo_per_op"][0]
-    batched_seconds = variants["gate_batched"][0]
-    summary = {
-        "name": "turbo_engine_parity",
-        "ops": count,
-        "granularity": granularity,
-        "gate_per_op": scenarios[0],
-        "gate_batched": scenarios[1],
-        "turbo_per_op": scenarios[2],
-        "turbo_batched": scenarios[3],
-        "speedup": round(
-            gate_seconds / turbo_seconds if turbo_seconds > 0 else 0.0, 2
-        ),
-        "turbo_vs_batched": round(
-            batched_seconds / turbo_seconds if turbo_seconds > 0 else 0.0, 2
-        ),
-        "min_speedup": TURBO_MIN_SPEEDUP,
-        "served_orders_identical": True,
-        "accounting_identical": True,
-    }
-    return summary, scenarios
-
-
-def _bench_timer(count: int, seed: int) -> Tuple[Dict, List[Dict]]:
-    """The timer-churn phase: dynamic updates (remove/retag) under load.
-
-    Runs the :mod:`repro.net.timer` churn scenario — an insert/cancel/
-    repin-heavy workload where most entries never reach service — on
-    both engines, best-of-:data:`BENCH_REPEATS` each.  Before timings
-    are reported the phase asserts exact parity: identical fired
-    sequences and per-structure read/write counters, identical cycle
-    totals, and the workload's own checks (deadline-ordered firing,
-    armed = fired + cancelled + pending conservation) must hold.  This
-    is the regression fence for the removal/retag cost model: any
-    change to the unlink path or the marker-clear discipline shows up
-    in ``cycles_per_op`` / ``accesses_per_op`` here.
-    """
-    from ..net.timer import run_timer_soak
-
-    variants: Dict[str, Tuple[float, object]] = {}
-    scenarios: List[Dict] = []
-    for key in ("gate", "turbo"):
-        best = None
-        for _ in range(BENCH_REPEATS):
-            seconds, run = _timed(
-                lambda: run_timer_soak(
-                    pattern="churn", events=count, seed=seed, mode=key
-                )
-            )
-            if best is None or seconds < best[0]:
-                best = (seconds, run)
-        seconds, run = best
-        if not run.served_in_order:
-            raise AssertionError(
-                f"timer phase ({key}): timers fired out of deadline order"
-            )
-        if not run.conserved:
-            raise AssertionError(
-                f"timer phase ({key}): timer conservation broken"
-            )
-        variants[key] = best
-        scenario = _scenario(
-            f"timer_churn_{key}:dynamic",
-            ops=run.operations,
-            seconds=seconds,
-            accesses=run.backend.circuit.registry.total().total,
-            cycles=run.cycles,
-            engine=key,
-            events=count,
-            armed=run.armed,
-            cancelled=run.cancelled,
-            repinned=run.repinned,
-            fired=run.fired,
-        )
-        scenarios.append(scenario)
-
-    gate_run = variants["gate"][1]
-    turbo_run = variants["turbo"][1]
-    if gate_run.fired_deadlines != turbo_run.fired_deadlines:
-        raise AssertionError(
-            "timer phase: turbo fired a different sequence than gate — "
-            "engines are not equivalent, refusing to report timings"
-        )
-    if gate_run.cycles != turbo_run.cycles:
-        raise AssertionError(
-            f"timer phase: turbo cycles {turbo_run.cycles} != gate "
-            f"cycles {gate_run.cycles}"
-        )
-    if _registry_snapshot(gate_run.backend) != _registry_snapshot(
-        turbo_run.backend
-    ):
-        raise AssertionError(
-            "timer phase: per-structure access counters diverge between "
-            "engines"
-        )
-
-    gate_seconds = variants["gate"][0]
-    turbo_seconds = variants["turbo"][0]
-    summary = {
-        "name": "timer_churn",
-        "pattern": "churn",
-        "events": count,
-        "armed": gate_run.armed,
-        "cancelled": gate_run.cancelled,
-        "repinned": gate_run.repinned,
-        "fired": gate_run.fired,
-        "gate": scenarios[0],
-        "turbo": scenarios[1],
-        "speedup": round(
-            gate_seconds / turbo_seconds if turbo_seconds > 0 else 0.0, 2
-        ),
-        "served_orders_identical": True,
-        "accounting_identical": True,
-    }
-    return summary, scenarios
-
-
-def _bench_vector(
-    count: int, seed: int
-) -> Tuple[Optional[Dict], List[Dict]]:
-    """The vector engine phase: wide-batch drains on the array data plane.
-
-    The workload is the shape the numpy engine exists for — rounds of
-    one :data:`VECTOR_BATCH_WIDTH`-wide ``insert_batch`` followed by one
-    ``dequeue_batch`` of the same width, so a whole tag space's worth of
-    logical operations retires per array op.  Four variants run it
-    best-of-:data:`BENCH_REPEATS`: the gate engine batched (the
-    reference service order), the turbo engine per-op (the denominator
-    of the headline claim) and batched, and the vector engine batched.
-    Every variant's full served sequence must match the gate reference
-    element for element *before* any timing is reported; the headline
-    number is vector batched over turbo per-op, gated on
-    :data:`VECTOR_MIN_SPEEDUP`.
-
-    Returns ``(None, [])`` when numpy is unavailable — the rest of the
-    suite (and the baseline check) degrades gracefully on hosts without
-    the optional array stack.
-    """
-    if numpy_or_none() is None:
-        return None, []
-    width = VECTOR_BATCH_WIDTH
-    round_count = max(4, count // (2 * width))
-    total_ops = round_count * 2 * width
-    space = PAPER_FORMAT.capacity
-    rng = random.Random(seed)
-    rounds: List[List[int]] = []
-    base = 0
-    for _ in range(round_count):
-        start = base
-        # Nondecreasing in modular order (duplicates adjacent), so the
-        # batched paths' sorted-allocation addresses coincide with the
-        # per-op path's input-order addresses and the four variants can
-        # be compared ServedTag-for-ServedTag, address included.
-        rounds.append(
-            [
-                (start + (i * (space // 2)) // width) % space
-                for i in range(width)
-            ]
-        )
-        base = (base + rng.randrange(32, 96)) % space
-
-    def drive_batched(circuit) -> List:
-        served: List = []
-        extend = served.extend
-        for tags in rounds:
-            circuit.insert_batch(tags)
-            extend(circuit.dequeue_batch(width))
-        return served
-
-    def drive_per_op(circuit) -> List:
-        served: List = []
-        append = served.append
-        for tags in rounds:
-            for tag in tags:
-                circuit.insert(tag)
-            for _ in range(width):
-                append(circuit.dequeue_min())
-        return served
-
-    def timed_window(drive, circuit) -> float:
-        """Seconds per pass over a >= MIN_TIMED_WALL_SECONDS window.
-
-        Every drive() fully drains the circuit, so fast variants repeat
-        until the measurement spans a stable wall-clock window — one
-        ~10ms pass (the vector engine on the smoke preset) is
-        scheduler-noise-bound on a busy host.  The collector is paused
-        for the window (pyperf-style, applied to every variant alike):
-        allocation-heavy drives otherwise spend a machine-dependent
-        slice of their wall inside gen-0 collections.
-        """
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            passes = 0
-            start = time.perf_counter()
-            while True:
-                drive(circuit)
-                passes += 1
-                elapsed = time.perf_counter() - start
-                if elapsed >= MIN_TIMED_WALL_SECONDS or passes >= 64:
-                    break
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return elapsed / passes
-
-    specs = (
-        ("gate_batched", "gate", True),
-        ("turbo_per_op", "turbo", False),
-        ("turbo_batched", "turbo", True),
-        ("vector_batched", "vector", True),
-    )
-    # One clean pass per variant for the deterministic counters
-    # (accesses, cycles) and the served-order parity check; the timed
-    # circuits below host several passes each.
-    probes: Dict[str, Tuple[List, object]] = {}
-    drives: Dict[str, Tuple] = {}
-    for key, mode, batched in specs:
-        drive = drive_batched if batched else drive_per_op
-        probe = make_circuit(
-            PAPER_FORMAT, mode=mode, capacity=2 * width, modular=True
-        )
-        probes[key] = (drive(probe), probe)
-        drives[key] = (
-            drive,
-            make_circuit(
-                PAPER_FORMAT, mode=mode, capacity=2 * width, modular=True
-            ),
-        )
-    # Interleave the variants across repeats (round-robin, best-of):
-    # measuring one variant's repeats back to back and the next
-    # variant's afterwards lets CPU frequency drift between the two
-    # windows masquerade as an engine-speed difference.
-    best: Dict[str, float] = {}
-    for _ in range(BENCH_REPEATS):
-        for key, _mode, _batched in specs:
-            drive, circuit = drives[key]
-            seconds = timed_window(drive, circuit)
-            if key not in best or seconds < best[key]:
-                best[key] = seconds
-
-    variants: Dict[str, Tuple[float, List, object]] = {}
-    scenarios: List[Dict] = []
-    for key, mode, batched in specs:
-        served, circuit = probes[key]
-        seconds = best[key]
-        variants[key] = (seconds, served, circuit)
-        scenarios.append(
-            _scenario(
-                f"vector_phase_{key}:widebatch",
-                ops=total_ops,
-                seconds=seconds,
-                accesses=circuit.registry.total().total,
-                cycles=circuit.cycles,
-                engine=mode,
-            )
-        )
-
-    reference_served = variants["gate_batched"][1]
-    for key in ("turbo_per_op", "turbo_batched", "vector_batched"):
-        if variants[key][1] != reference_served:
-            raise AssertionError(
-                f"vector phase: {key} served a different sequence than "
-                "gate_batched — engines are not equivalent, refusing to "
-                "report timings"
-            )
-
-    turbo_seconds = variants["turbo_per_op"][0]
-    turbo_batched_seconds = variants["turbo_batched"][0]
-    vector_seconds = variants["vector_batched"][0]
-    summary = {
-        "name": "vector_engine_widebatch",
-        "ops": total_ops,
-        "width": width,
-        "rounds": round_count,
-        "gate_batched": scenarios[0],
-        "turbo_per_op": scenarios[1],
-        "turbo_batched": scenarios[2],
-        "vector_batched": scenarios[3],
-        "speedup": round(
-            turbo_seconds / vector_seconds if vector_seconds > 0 else 0.0, 2
-        ),
-        "vector_vs_turbo_batched": round(
-            turbo_batched_seconds / vector_seconds
-            if vector_seconds > 0
-            else 0.0,
-            2,
-        ),
-        "min_speedup": VECTOR_MIN_SPEEDUP,
-        "served_orders_identical": True,
-    }
-    return summary, scenarios
-
-
-def _bench_distributions(
-    count: int, mixed_count: int, seed: int, mode: str = "gate"
-) -> Dict:
+def _bench_distributions(count: int, mixed_count: int, seed: int) -> Dict:
     """Per-phase distribution data (machine-independent, untimed).
 
-    Runs *fresh*, instrumented circuits — the timed scenarios above are
-    never traced, so their wall numbers stay comparable to pre-telemetry
+    Runs *fresh*, instrumented gate circuits — the timed cells are never
+    traced, so their wall numbers stay comparable to pre-telemetry
     baselines.  Three phases on the paper format and default matcher:
 
     * ``insert`` / ``dequeue`` — per-op access-count distributions of a
       sorted-load fill and drain;
-    * ``mixed`` — the bursty headline-shaped workload through the
-      hardware store with a live tracer, summarizing per-op accesses,
-      occupancy, storage free-list depth, and clamp magnitudes.
+    * ``mixed`` — the bursty mixed workload through the hardware store
+      with a live tracer, summarizing per-op accesses, occupancy,
+      storage free-list depth, and clamp magnitudes.
     """
     fmt = PAPER_FORMAT
     tags = _sorted_tags(fmt, count, seed)
-    circuit = make_circuit(fmt, capacity=count, mode=mode)
+    circuit = make_circuit(fmt, capacity=count)
     registry = circuit.registry
 
     insert_hist = Histogram()
@@ -1142,7 +954,7 @@ def _bench_distributions(
 
     probes = StandardProbes()
     tracer = Tracer(buffer_size=1, observers=[probes])  # instruments only
-    store = HardwareTagStore(granularity=8.0, mode=mode, tracer=tracer)
+    store = HardwareTagStore(granularity=8.0, tracer=tracer)
     _drive_per_op(store, make_mixed_ops(mixed_count, seed))
     instruments = probes.instruments
     mixed = {
@@ -1159,84 +971,56 @@ def _bench_distributions(
     }
 
 
-def run_bench(
-    *, preset: str = "full", seed: int = 20060101, mode: str = "gate"
-) -> Dict:
-    """Run the suite; returns the JSON-ready result document.
+@contextlib.contextmanager
+def _one_cpu() -> Iterator[None]:
+    """Pin to the last CPU this process may use (CPU 0 takes most
+    interrupts on small VMs), so every window and calibration slice runs
+    on one core; the mask is restored after."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
 
-    ``mode`` selects the engine the matcher/size/headline/fabric/
-    distribution phases run on; the turbo and vector phases always
-    measure their engines against each other.  ``mode="vector"`` skips
-    the matcher sweep — the array engine finds its minimum with a
-    bucket-count scan, so there is no matcher to sweep — and requires
-    numpy (a :class:`~repro.hwsim.errors.ConfigurationError` names the
-    missing dependency otherwise).
-    """
-    if mode not in VALID_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if preset == "full":
-        matcher_count = 4096
-        size_count = {"w8": 256, "w12": 4096, "w16": 8192}
-        headline_count = 100_000
-        fabric_count = 40_000
-        timer_count = 40_000
-    elif preset == "smoke":
-        matcher_count = 256
-        size_count = {"w8": 128, "w12": 256, "w16": 256}
-        headline_count = 2_000
-        fabric_count = 2_000
-        timer_count = 2_000
-    else:
+
+def run_bench(*, preset: str = "full", seed: int = 20060101) -> Dict:
+    """Run every workload; returns the JSON-ready result document."""
+    if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}")
-
+    sizes = PRESETS[preset]
+    calibration = Calibration()
     scenarios: List[Dict] = []
-    if mode != "vector":
-        # The matcher sweep exercises the gate/turbo priority matchers;
-        # the vector engine has no matcher stage to sweep.
-        for name, matcher in sorted(ALL_MATCHERS.items()):
+    with _one_cpu():
+        for cells in workloads(preset, seed):
             scenarios.extend(
-                _bench_insert_dequeue(
-                    f"matcher={name}", PAPER_FORMAT, matcher, matcher_count,
-                    seed, mode=mode,
+                run_workload(
+                    cells, min_window=sizes.min_window,
+                    calibration=calibration,
                 )
             )
-    for label, fmt in SIZE_SWEEP:
-        scenarios.extend(
-            _bench_insert_dequeue(
-                f"size={label}",
-                fmt,
-                DEFAULT_MATCHER if mode != "vector" else None,
-                size_count[label],
-                seed,
-                mode=mode,
-            )
-        )
-    headline = _bench_headline(headline_count, seed, mode=mode)
-    fabric, fabric_scenarios = _bench_fabric(fabric_count, seed, mode=mode)
-    scenarios.extend(fabric_scenarios)
-    turbo_phase, turbo_scenarios = _bench_turbo(headline_count, seed)
-    scenarios.extend(turbo_scenarios)
-    timer_phase, timer_scenarios = _bench_timer(timer_count, seed)
-    scenarios.extend(timer_scenarios)
-    vector_phase, vector_scenarios = _bench_vector(headline_count, seed)
-    scenarios.extend(vector_scenarios)
-    distributions = _bench_distributions(
-        size_count["w12"], min(headline_count, 10_000), seed, mode=mode
-    )
     return {
         "schema": _SCHEMA,
         "preset": preset,
-        "mode": mode,
         "seed": seed,
-        "machine": machine_info(),
-        "headline": headline,
-        "fabric": fabric,
-        "turbo": turbo_phase,
-        "timer": timer_phase,
-        "vector": vector_phase,
+        "machine": machine_info(calibration),
         "scenarios": scenarios,
-        "distributions": distributions,
+        "ratios": compute_ratios(scenarios),
+        "distributions": _bench_distributions(
+            sizes.sorted_counts["w12"], min(sizes.mixed, 10_000), seed
+        ),
     }
+
+
+def _windows_span_floor(cells: Dict[str, Dict], names: Tuple[str, ...]):
+    return all(
+        cells.get(name, {}).get("window_seconds", 0.0)
+        >= MIN_TIMED_WALL_SECONDS
+        for name in names
+    )
 
 
 def check_against_baseline(
@@ -1247,65 +1031,48 @@ def check_against_baseline(
 ) -> List[str]:
     """Compare a fresh run to the committed baseline.
 
-    Returns human-readable regression messages (empty = pass).  Wall
-    throughput may drop by up to ``tolerance`` — but only scenarios that
-    ran for at least :data:`MIN_TIMED_WALL_SECONDS` in *both* runs are
-    wall-compared, because shorter timings are noise (the smoke preset
-    falls almost entirely under the floor).  Absolute throughput is
-    first divided by the ratio of the two documents' calibration speed
-    scores (:func:`machine_speed_score`), so a host that is uniformly
-    slower or faster than when the baseline was recorded does not
-    masquerade as a code change; within-run speedup ratios need no such
-    normalization because both sides of a ratio share the machine
-    state.  Per-op access and cycle counts are deterministic, so the
-    same tolerance bounds noise-free growth there at every scale.
+    Returns human-readable regression messages (empty = pass).  A cell's
+    ops/s may drop by up to ``tolerance`` once divided by the ratio of
+    the two calibration scores, compared only when its window spans
+    :data:`MIN_TIMED_WALL_SECONDS` in *both* runs; a :data:`GATES` ratio
+    may fall by as much (wall rows only when all four windows span the
+    floor; both sides of a ratio share the machine state, so it is not
+    normalized).  Accesses and cycles per op may grow by as much.
     """
-    problems: List[str] = []
+    if baseline.get("preset") != current.get("preset"):
+        return [
+            f"baseline preset {baseline.get('preset')!r} does not match "
+            f"current run {current.get('preset')!r}; regenerate the baseline"
+        ]
     old_cal = (baseline.get("machine") or {}).get("calibration_ops_per_second")
     new_cal = (current.get("machine") or {}).get("calibration_ops_per_second")
     scale = (new_cal / old_cal) if old_cal and new_cal else 1.0
-    if baseline.get("preset") != current.get("preset"):
-        problems.append(
-            f"baseline preset {baseline.get('preset')!r} does not match "
-            f"current run {current.get('preset')!r}; regenerate the baseline"
-        )
-        return problems
-    if baseline.get("mode", "gate") != current.get("mode", "gate"):
-        problems.append(
-            f"baseline mode {baseline.get('mode', 'gate')!r} does not match "
-            f"current run {current.get('mode', 'gate')!r}; the engines have "
-            "different wall-clock profiles, regenerate the baseline"
-        )
-        return problems
-    old_scenarios = {s["name"]: s for s in baseline.get("scenarios", ())}
-    new_scenarios = {s["name"]: s for s in current.get("scenarios", ())}
-    for name, old in sorted(old_scenarios.items()):
-        new = new_scenarios.get(name)
+    old_cells = {s["name"]: s for s in baseline.get("scenarios", ())}
+    new_cells = {s["name"]: s for s in current.get("scenarios", ())}
+    has_vector = any(s.get("engine") == "vector" for s in new_cells.values())
+    problems: List[str] = []
+    for name, old in sorted(old_cells.items()):
+        new = new_cells.get(name)
         if new is None:
-            if (
-                name.startswith("vector_phase_")
-                and current.get("vector") is None
-            ):
-                # The vector phase skips itself on hosts without numpy;
-                # that is graceful degradation, not a regression.
+            if old.get("engine") == "vector" and not has_vector:
+                # Vector cells need numpy; a host without it skips them.
                 continue
             problems.append(f"scenario {name} disappeared from the suite")
             continue
-        timed = (
-            old["seconds"] >= MIN_TIMED_WALL_SECONDS
-            and new["seconds"] >= MIN_TIMED_WALL_SECONDS
-        )
-        floor = old["ops_per_second"] * (1.0 - tolerance)
         normalized = new["ops_per_second"] / scale
-        if timed and normalized < floor:
+        if (
+            _windows_span_floor(old_cells, (name,))
+            and _windows_span_floor(new_cells, (name,))
+            and normalized < old["ops_per_second"] * (1.0 - tolerance)
+        ):
             qualifier = (
                 "" if scale == 1.0
                 else f" ({normalized:.0f} machine-normalized)"
             )
             problems.append(
                 f"{name}: throughput {new['ops_per_second']:.0f} ops/s"
-                f"{qualifier} fell "
-                f">{tolerance:.0%} below baseline {old['ops_per_second']:.0f}"
+                f"{qualifier} fell >{tolerance:.0%} below baseline "
+                f"{old['ops_per_second']:.0f}"
             )
         for metric in ("accesses_per_op", "cycles_per_op"):
             if new[metric] > old[metric] * (1.0 + tolerance):
@@ -1313,201 +1080,93 @@ def check_against_baseline(
                     f"{name}: {metric} {new[metric]} grew >{tolerance:.0%} "
                     f"over baseline {old[metric]}"
                 )
-    old_head = baseline.get("headline", {})
-    new_head = current.get("headline", {})
-    if old_head and new_head:
-        timed = all(
-            side.get("seconds", 0.0) >= MIN_TIMED_WALL_SECONDS
-            for side in (
-                old_head.get("per_op", {}),
-                old_head.get("batched", {}),
-                new_head.get("per_op", {}),
-                new_head.get("batched", {}),
-            )
-        )
-        floor = old_head.get("speedup", 0.0) * (1.0 - tolerance)
-        if timed and new_head.get("speedup", 0.0) < floor:
-            problems.append(
-                f"headline batched speedup {new_head.get('speedup')}x fell "
-                f">{tolerance:.0%} below baseline {old_head.get('speedup')}x"
-            )
-    old_fabric = baseline.get("fabric", {})
-    new_fabric = current.get("fabric", {})
-    if old_fabric and new_fabric:
-        # Modeled speedup is cycle-count arithmetic — deterministic per
-        # seed — so it needs no timing floor.  The measured wall
-        # speedup is gated the same way whenever the baseline has one
-        # (baselines older than the figure do not), behind the timing
-        # floor every wall ratio here gets.
-        for key, label in (
-            ("modeled_speedup", "modeled"),
-            ("wall_speedup", "wall"),
+    old_ratios = baseline.get("ratios", {})
+    new_ratios = current.get("ratios", {})
+    for gate in GATES:
+        old, new = old_ratios.get(gate.name), new_ratios.get(gate.name)
+        if old is None or new is None:
+            continue
+        sides = (gate.numerator, gate.denominator)
+        if not gate.modeled and not (
+            _windows_span_floor(old_cells, sides)
+            and _windows_span_floor(new_cells, sides)
         ):
-            if key not in old_fabric:
-                continue
-            if key == "wall_speedup" and not (
-                _fabric_timed(baseline) and _fabric_timed(current)
-            ):
-                continue
-            floor = old_fabric[key] * (1.0 - tolerance)
-            if new_fabric.get(key, 0.0) < floor:
-                problems.append(
-                    f"fabric {label} speedup {new_fabric.get(key)}x at "
-                    f"{new_fabric.get('max_shards')} shards fell "
-                    f">{tolerance:.0%} below baseline {old_fabric[key]}x"
-                )
-    old_turbo = baseline.get("turbo", {})
-    new_turbo = current.get("turbo", {})
-    if old_turbo and new_turbo:
-        timed = all(
-            side.get("seconds", 0.0) >= MIN_TIMED_WALL_SECONDS
-            for side in (
-                old_turbo.get("gate_per_op", {}),
-                old_turbo.get("turbo_per_op", {}),
-                new_turbo.get("gate_per_op", {}),
-                new_turbo.get("turbo_per_op", {}),
-            )
-        )
-        floor = old_turbo.get("speedup", 0.0) * (1.0 - tolerance)
-        if timed and new_turbo.get("speedup", 0.0) < floor:
+            continue
+        if new["value"] < old["value"] * (1.0 - tolerance):
             problems.append(
-                f"turbo engine speedup {new_turbo.get('speedup')}x fell "
-                f">{tolerance:.0%} below baseline {old_turbo.get('speedup')}x"
-            )
-    old_vector = baseline.get("vector") or {}
-    new_vector = current.get("vector") or {}
-    if old_vector and new_vector:
-        # The vector side never reaches the wall floor (that is the
-        # point of the engine), so the floor is fenced on the turbo
-        # per-op denominator alone.
-        timed = all(
-            side.get("seconds", 0.0) >= MIN_TIMED_WALL_SECONDS
-            for side in (
-                old_vector.get("turbo_per_op", {}),
-                new_vector.get("turbo_per_op", {}),
-            )
-        )
-        floor = old_vector.get("speedup", 0.0) * (1.0 - tolerance)
-        if timed and new_vector.get("speedup", 0.0) < floor:
-            problems.append(
-                f"vector engine speedup {new_vector.get('speedup')}x fell "
-                f">{tolerance:.0%} below baseline "
-                f"{old_vector.get('speedup')}x"
-            )
-    old_timer = baseline.get("timer", {})
-    new_timer = current.get("timer", {})
-    if old_timer and new_timer:
-        # The timer scenarios' deterministic metrics (cycles/accesses
-        # per op) are covered by the generic scenario loop above; here
-        # only the engine-speedup ratio needs a fenced floor.
-        timed = all(
-            side.get("seconds", 0.0) >= MIN_TIMED_WALL_SECONDS
-            for side in (
-                old_timer.get("gate", {}),
-                old_timer.get("turbo", {}),
-                new_timer.get("gate", {}),
-                new_timer.get("turbo", {}),
-            )
-        )
-        floor = old_timer.get("speedup", 0.0) * (1.0 - tolerance)
-        if timed and new_timer.get("speedup", 0.0) < floor:
-            problems.append(
-                f"timer-churn turbo speedup {new_timer.get('speedup')}x "
-                f"fell >{tolerance:.0%} below baseline "
-                f"{old_timer.get('speedup')}x"
+                f"{gate.name} {new['value']}x ({gate.numerator} over "
+                f"{gate.denominator}) fell >{tolerance:.0%} below baseline "
+                f"{old['value']}x"
             )
     return problems
 
 
 def _format_summary(document: Dict) -> str:
     lines = [
-        f"perf suite ({document['preset']} preset, "
-        f"{document.get('mode', 'gate')} mode, seed {document['seed']})",
+        f"perf suite ({document['preset']} preset, seed {document['seed']})",
         "",
-        f"  {'scenario':<38} {'ops/s':>12} {'acc/op':>8} {'cyc/op':>8}",
+        f"  {'scenario':<44} {'ops/s':>12} {'acc/op':>8} {'cyc/op':>8} "
+        f"{'window':>8}",
     ]
     for scenario in document["scenarios"]:
         lines.append(
-            f"  {scenario['name']:<38} {scenario['ops_per_second']:>12,.0f} "
+            f"  {scenario['name']:<44} {scenario['ops_per_second']:>12,.0f} "
             f"{scenario['accesses_per_op']:>8.2f} "
-            f"{scenario['cycles_per_op']:>8.2f}"
+            f"{scenario['cycles_per_op']:>8.2f} "
+            f"{scenario['window_seconds']:>7.3f}s"
         )
-    headline = document["headline"]
-    lines += [
-        "",
-        f"  headline {headline['name']}: "
-        f"{headline['per_op']['ops_per_second']:,.0f} ops/s per-op vs "
-        f"{headline['batched']['ops_per_second']:,.0f} ops/s batched "
-        f"({headline['speedup']}x)",
-    ]
-    fabric = document.get("fabric")
-    if fabric:
-        lines += [
-            "",
-            "  fabric shard sweep (modeled speedup / wall speedup / "
-            "tournament cmp per op):",
-        ]
-        for entry in fabric["sweep"]:
-            wall = entry.get("wall_speedup")
-            wall_text = "   n/a " if wall is None else f"{wall:>6.2f}x"
-            lines.append(
-                f"    shards={entry['shards']:<3} "
-                f"{entry['modeled_speedup']:>6.2f}x modeled  "
-                f"{wall_text} wall  "
-                f"{entry['comparisons_per_op']:.2f} cmp/op  "
-                f"{entry['ops_per_second']:,.0f} ops/s wall"
-            )
-    turbo = document.get("turbo")
-    if turbo:
-        lines += [
-            "",
-            f"  turbo engine: "
-            f"{turbo['turbo_per_op']['ops_per_second']:,.0f} ops/s per-op vs "
-            f"{turbo['gate_per_op']['ops_per_second']:,.0f} ops/s gate "
-            f"({turbo['speedup']}x; {turbo['turbo_vs_batched']}x over the "
-            f"batched gate path; parity exact)",
-        ]
-    vector = document.get("vector")
-    if vector:
-        lines += [
-            "",
-            f"  vector engine ({vector['rounds']} rounds x "
-            f"{vector['width']}-wide batches): "
-            f"{vector['vector_batched']['ops_per_second']:,.0f} ops/s vs "
-            f"{vector['turbo_per_op']['ops_per_second']:,.0f} ops/s turbo "
-            f"per-op ({vector['speedup']}x; "
-            f"{vector['vector_vs_turbo_batched']}x over the batched turbo "
-            f"path; parity exact)",
-        ]
-    timer = document.get("timer")
-    if timer:
-        lines += [
-            "",
-            f"  timer churn ({timer['events']} events: {timer['armed']} "
-            f"armed, {timer['cancelled']} cancelled, {timer['repinned']} "
-            f"repinned, {timer['fired']} fired): "
-            f"{timer['turbo']['ops_per_second']:,.0f} ops/s turbo vs "
-            f"{timer['gate']['ops_per_second']:,.0f} ops/s gate "
-            f"({timer['speedup']}x; parity exact)",
-        ]
-    distributions = document.get("distributions")
-    if distributions:
-        lines += ["", "  per-phase access distributions (p50/p99/max):"]
-        for phase in ("insert", "dequeue"):
-            s = distributions[phase]
-            lines.append(
-                f"    {phase:<8} {s['p50']:.0f}/{s['p99']:.0f}/{s['max']:.0f}"
-                f"  (n={s['count']})"
-            )
-        mixed = distributions["mixed"]["op_accesses"]
+    lines += ["", "  ratios (numerator over denominator):"]
+    for name, ratio in document["ratios"].items():
+        floor = (
+            "" if ratio["floor"] is None
+            else f"  [floor {ratio['floor']}x: {', '.join(ratio['presets'])}]"
+        )
         lines.append(
-            f"    {'mixed':<8} {mixed['p50']:.0f}/{mixed['p99']:.0f}/"
-            f"{mixed['max']:.0f}  (n={mixed['count']})"
+            f"    {name:<24} {ratio['value']:>7.2f}x  {ratio['numerator']} "
+            f"over {ratio['denominator']}{floor}"
         )
+    distributions = document["distributions"]
+    lines += ["", "  per-phase access distributions (p50/p99/max):"]
+    for phase in ("insert", "dequeue"):
+        s = distributions[phase]
+        lines.append(
+            f"    {phase:<8} {s['p50']:.0f}/{s['p99']:.0f}/{s['max']:.0f}"
+            f"  (n={s['count']})"
+        )
+    mixed = distributions["mixed"]["op_accesses"]
+    lines.append(
+        f"    {'mixed':<8} {mixed['p50']:.0f}/{mixed['p99']:.0f}/"
+        f"{mixed['max']:.0f}  (n={mixed['count']})"
+    )
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+class BaselineError(Exception):
+    """The ``--check`` baseline is missing, unreadable or of another schema."""
+
+
+def read_baseline(path: str) -> Dict:
+    """The baseline document at ``path``, refused unless it is schema 8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+    except OSError as error:
+        raise BaselineError(
+            f"cannot read baseline {path} ({error.strerror or error})"
+        ) from None
+    except ValueError as error:
+        raise BaselineError(
+            f"baseline {path} is not valid JSON ({error})"
+        ) from None
+    schema = baseline.get("schema") if isinstance(baseline, dict) else None
+    if schema != _SCHEMA:
+        raise BaselineError(
+            f"baseline {path} is schema {schema}, not {_SCHEMA}"
+        )
+    return baseline
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description="Time the sort/retrieve hot paths and manage the "
@@ -1516,7 +1175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny CI preset (seconds, not minutes)",
+        help="tiny CI preset: one pass per window (seconds, not minutes)",
     )
     parser.add_argument(
         "--check",
@@ -1534,96 +1193,34 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--seed", type=int, default=20060101, help="workload seed"
     )
-    parser.add_argument(
-        "--mode",
-        choices=tuple(VALID_MODES),
-        default="gate",
-        help=(
-            "engine the sweep phases run on: 'gate' walks the "
-            "gate-accurate model, 'turbo' uses the access-fused hot "
-            "paths, 'vector' the numpy array data plane (the turbo and "
-            "vector phases always measure their engines against each "
-            "other)"
-        ),
-    )
-    args = parser.parse_args(argv)
-    preset = "smoke" if args.smoke else "full"
+    return parser
 
-    document = run_bench(preset=preset, seed=args.seed, mode=args.mode)
-    print(_format_summary(document))
 
-    headline = document["headline"]
-    # The headline amortization claim is about the scalar engines'
-    # coalesced paths; the vector engine's batch claim is the vector
-    # phase's own (stricter) gate below.
-    if (
-        preset == "full"
-        and document["mode"] != "vector"
-        and headline["speedup"] < HEADLINE_MIN_SPEEDUP
-    ):
-        print(
-            f"\nFAIL: headline batched speedup {headline['speedup']}x is "
-            f"below the required {HEADLINE_MIN_SPEEDUP}x",
-            file=sys.stderr,
-        )
-        return 1
-    fabric = document["fabric"]
-    if (
-        preset == "full"
-        and fabric["modeled_speedup"] < FABRIC_MIN_MODELED_SPEEDUP
-    ):
-        print(
-            f"\nFAIL: fabric modeled speedup {fabric['modeled_speedup']}x "
-            f"at {fabric['max_shards']} shards is below the required "
-            f"{FABRIC_MIN_MODELED_SPEEDUP}x",
-            file=sys.stderr,
-        )
-        return 1
-    turbo_phase = document["turbo"]
-    if preset == "full" and turbo_phase["speedup"] < TURBO_MIN_SPEEDUP:
-        print(
-            f"\nFAIL: turbo engine speedup {turbo_phase['speedup']}x is "
-            f"below the required {TURBO_MIN_SPEEDUP}x over the gate "
-            f"per-op baseline",
-            file=sys.stderr,
-        )
-        return 1
-    if turbo_phase["turbo_vs_batched"] < 1.0:
-        # Every preset (CI runs the smoke): the turbo per-op path must
-        # at least clear the batched gate path's throughput.
-        print(
-            f"\nFAIL: turbo per-op throughput is only "
-            f"{turbo_phase['turbo_vs_batched']}x the batched gate path "
-            f"(must be >= 1.0x)",
-            file=sys.stderr,
-        )
-        return 1
-    vector_phase = document.get("vector")
-    if vector_phase is not None and (
-        vector_phase["speedup"] < VECTOR_MIN_SPEEDUP
-    ):
-        # Every preset: the vector phase pins its own batch width, so
-        # the smoke run measures the same wide-batch shape and the gate
-        # is as meaningful there as on the full preset.
-        print(
-            f"\nFAIL: vector engine speedup {vector_phase['speedup']}x is "
-            f"below the required {VECTOR_MIN_SPEEDUP}x over the turbo "
-            f"per-op baseline",
-            file=sys.stderr,
-        )
-        return 1
-
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    baseline = None
     if args.check:
+        # Refuse a baseline that cannot be compared before the run.
         try:
-            with open(args.output, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except FileNotFoundError:
+            baseline = read_baseline(args.output)
+        except BaselineError as error:
             print(
-                f"\nFAIL: no baseline at {args.output}; run "
-                "'python -m repro bench' first to create one",
+                f"FAIL: {error}; regenerate it with 'python -m repro bench'",
                 file=sys.stderr,
             )
             return 1
+
+    document = run_bench(
+        preset="smoke" if args.smoke else "full", seed=args.seed
+    )
+    print(_format_summary(document))
+    failures = floor_failures(document)
+    for failure in failures:
+        print(f"\nFAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+
+    if baseline is not None:
         for warning in machine_mismatch_warnings(document, baseline):
             print(f"WARN: {warning}", file=sys.stderr)
         problems = check_against_baseline(document, baseline)

@@ -1,10 +1,13 @@
-"""The bench suite's fabric scale-out phase."""
+"""The bench's fabric workload: the shard sweep as matrix cells."""
 
 from repro.bench.perf import (
     FABRIC_SHARD_SWEEP,
-    _bench_fabric,
+    GATES,
+    _fabric_cells,
     check_against_baseline,
+    compute_ratios,
     make_flow_ops,
+    run_workload,
 )
 
 
@@ -18,78 +21,103 @@ def test_flow_ops_shape():
     assert ops != make_flow_ops(1_000, 43, flows=32)
 
 
+def _fabric_records(count):
+    # The one-shard identity (a one-shard fabric serves exactly what one
+    # circuit serves) is a parity rule: run_workload raises without it.
+    return {
+        record["name"]: record
+        for record in run_workload(
+            _fabric_cells(count, 20060101, ("gate", "turbo")), min_window=0.0
+        )
+    }
+
+
 def test_fabric_phase_reports_sweep_and_speedup():
-    summary, scenarios = _bench_fabric(1_500, 20060101)
-    assert [entry["shards"] for entry in summary["sweep"]] == list(
-        FABRIC_SHARD_SWEEP
-    )
-    assert summary["one_shard_order_identical"] is True
-    # One shard adds no modeled parallelism...
-    assert summary["sweep"][0]["modeled_speedup"] == 1.0
-    # ...wider fabrics shrink the makespan.
-    speedups = [entry["modeled_speedup"] for entry in summary["sweep"]]
+    records = _fabric_records(1_500)
+    # One circuit cell plus one per sweep size, on each engine.
+    assert len(records) == 2 * (1 + len(FABRIC_SHARD_SWEEP))
+    single = records["fabric/gate/circuit"]["cycles_per_op"]
+    speedups = []
+    for shards in FABRIC_SHARD_SWEEP:
+        gate = records[f"fabric/gate/shards={shards}"]
+        turbo = records[f"fabric/turbo/shards={shards}"]
+        assert gate["shards"] == shards
+        # The engines charge the same modeled makespan.
+        assert gate["cycles_per_op"] == turbo["cycles_per_op"]
+        speedups.append(single / gate["cycles_per_op"])
+    # One shard adds no modeled parallelism; wider fabrics shrink the
+    # makespan.
+    assert speedups[0] == 1.0
     assert speedups == sorted(speedups)
     assert speedups[-1] > 2.0
-    # Single-circuit scenario + one per sweep size.
-    assert len(scenarios) == 1 + len(FABRIC_SHARD_SWEEP)
+    ratios = compute_ratios(list(records.values()))
+    assert ratios["fabric_modeled_speedup"]["value"] == round(speedups[-1], 2)
+    assert ratios["fabric_modeled_speedup"]["kind"] == "modeled"
 
 
-def test_baseline_check_flags_fabric_speedup_regression():
-    baseline = {
-        "preset": "smoke",
-        "scenarios": [],
-        "fabric": {"modeled_speedup": 10.0, "max_shards": 16},
-    }
-    current = {
-        "preset": "smoke",
-        "scenarios": [],
-        "fabric": {"modeled_speedup": 5.0, "max_shards": 16},
-    }
-    problems = check_against_baseline(current, baseline)
-    assert any("fabric modeled speedup" in problem for problem in problems)
-    assert not check_against_baseline(baseline, baseline)
-
-
-def test_fabric_phase_reports_wall_speedup_beside_modeled():
-    summary, scenarios = _bench_fabric(600, 20060101)
-    seconds = {scenario["name"]: scenario["seconds"] for scenario in scenarios}
-    single = seconds["fabric_single_circuit:batched"]
-    for entry in summary["sweep"]:
-        fabric = seconds[f"fabric_batched:shards={entry['shards']}"]
-        assert entry["wall_speedup"] == round(single / fabric, 2)
-    assert summary["wall_speedup"] == summary["sweep"][-1]["wall_speedup"]
-
-
-def _fabric_document(wall_speedup, seconds):
+def _ratio_document(name, value, window=1.0):
+    gate = next(gate for gate in GATES if gate.name == name)
     scenarios = [
         {
-            "name": name,
-            "seconds": seconds,
+            "name": cell,
+            "seconds": window,
+            "window_seconds": window,
             "ops_per_second": 1000.0,
             "accesses_per_op": 1.0,
             "cycles_per_op": 4.0,
         }
-        for name in (
-            "fabric_single_circuit:batched",
-            "fabric_batched:shards=16",
-        )
+        for cell in (gate.numerator, gate.denominator)
     ]
-    fabric = {"modeled_speedup": 10.0, "max_shards": 16}
-    if wall_speedup is not None:
-        fabric["wall_speedup"] = wall_speedup
-    return {"preset": "full", "scenarios": scenarios, "fabric": fabric}
+    ratios = {} if value is None else {name: {"value": value}}
+    return {"preset": "full", "scenarios": scenarios, "ratios": ratios}
+
+
+def test_baseline_check_flags_fabric_speedup_regression():
+    baseline = _ratio_document("fabric_modeled_speedup", 10.0)
+    current = _ratio_document("fabric_modeled_speedup", 5.0)
+    problems = check_against_baseline(current, baseline)
+    assert any("fabric_modeled_speedup" in problem for problem in problems)
+    assert not check_against_baseline(baseline, baseline)
+    # Modeled speedup is cycle arithmetic: no timing floor fences it.
+    short = _ratio_document("fabric_modeled_speedup", 5.0, window=0.01)
+    assert check_against_baseline(short, baseline)
+
+
+def test_fabric_phase_reports_wall_speedup_beside_modeled():
+    records = _fabric_records(600)
+    ratios = compute_ratios(list(records.values()))
+    widest = f"fabric/gate/shards={FABRIC_SHARD_SWEEP[-1]}"
+    single = records["fabric/gate/circuit"]["seconds"]
+    wall = ratios["fabric_wall_speedup"]
+    assert wall["value"] == round(single / records[widest]["seconds"], 2)
+    assert (wall["numerator"], wall["denominator"]) == (
+        widest,
+        "fabric/gate/circuit",
+    )
+    assert wall["kind"] == "wall"
 
 
 def test_baseline_check_flags_wall_speedup_regression():
     def flagged(baseline, current):
         problems = check_against_baseline(current, baseline)
-        return any("fabric wall speedup" in problem for problem in problems)
+        return any("fabric_wall_speedup" in problem for problem in problems)
 
-    assert flagged(_fabric_document(0.5, 1.0), _fabric_document(0.3, 1.0))
-    assert not flagged(_fabric_document(0.5, 1.0), _fabric_document(0.45, 1.0))
+    document = _ratio_document
+    assert flagged(
+        document("fabric_wall_speedup", 0.5),
+        document("fabric_wall_speedup", 0.3),
+    )
+    assert not flagged(
+        document("fabric_wall_speedup", 0.5),
+        document("fabric_wall_speedup", 0.45),
+    )
     # A baseline without the figure, or a run under the timing floor,
     # is not judged.
-    assert not flagged(_fabric_document(None, 1.0), _fabric_document(0.3, 1.0))
     assert not flagged(
-        _fabric_document(0.5, 0.01), _fabric_document(0.3, 0.01)
+        document("fabric_wall_speedup", None),
+        document("fabric_wall_speedup", 0.3),
+    )
+    assert not flagged(
+        document("fabric_wall_speedup", 0.5, window=0.01),
+        document("fabric_wall_speedup", 0.3, window=0.01),
     )

@@ -63,11 +63,11 @@ class TestRecordReferenceTrace:
 
 class TestCommittedBaseline:
     def test_baseline_is_current_schema_with_reference_trace(self):
-        assert _SCHEMA == 7
+        assert _SCHEMA == 8
         baseline_path = REPO_ROOT / "BENCH_sort_retrieve.json"
         with open(baseline_path, encoding="utf-8") as handle:
             baseline = json.load(handle)
-        assert baseline["schema"] == 7
+        assert baseline["schema"] == 8
         document = read_trace(reference_trace_path(str(baseline_path)))
         assert document.header is not None
         assert document.header["seed"] == baseline["seed"]

@@ -1,42 +1,53 @@
-"""The bench suite's timer dynamic-update phase."""
+"""The bench's timer workload: remove/retag churn as matrix cells."""
 
-from repro.bench.perf import MIN_TIMED_WALL_SECONDS, _bench_timer, check_against_baseline
+from repro.bench.perf import (
+    MIN_TIMED_WALL_SECONDS,
+    _timer_cells,
+    check_against_baseline,
+    compute_ratios,
+    run_workload,
+)
 
 
 def test_timer_phase_structure_and_parity():
-    summary, scenarios = _bench_timer(1_500, 20060101)
-    assert summary["name"] == "timer_churn"
-    assert summary["pattern"] == "churn"
-    assert summary["events"] == 1_500
-    # Every armed timer is accounted for across the verbs.
-    assert summary["armed"] > 0
-    assert summary["armed"] >= summary["cancelled"] + summary["fired"]
-    # Both engines ran, identical behaviour asserted inside the phase.
-    assert summary["served_orders_identical"] is True
-    assert summary["accounting_identical"] is True
-    assert summary["speedup"] > 0.0
-    names = [scenario["name"] for scenario in scenarios]
-    assert names == [
-        "timer_churn_gate:dynamic",
-        "timer_churn_turbo:dynamic",
+    # Deadline order, conservation and exact gate/turbo accounting are
+    # parity rules: run_workload raises before timing without them.
+    records = run_workload(_timer_cells(1_500, 20060101), min_window=0.0)
+    assert [record["name"] for record in records] == [
+        "timer/gate/churn",
+        "timer/turbo/churn",
     ]
-    gate, turbo = scenarios
-    # Deterministic metrics match exactly between the engines.
-    assert gate["cycles_per_op"] == turbo["cycles_per_op"]
-    assert gate["accesses_per_op"] == turbo["accesses_per_op"]
-    assert gate["ops"] == turbo["ops"]
+    gate, turbo = records
+    assert (gate["engine"], turbo["engine"]) == ("gate", "turbo")
     assert gate["events"] == turbo["events"] == 1_500
+    # Every armed timer is accounted for across the verbs.
+    assert gate["armed"] > 0
+    assert gate["armed"] >= gate["cancelled"] + gate["fired"]
+    for key in ("ops", "armed", "cancelled", "repinned", "fired",
+                "cycles_per_op", "accesses_per_op"):
+        assert gate[key] == turbo[key], key
+    # Removals pay the fixed cost plus duplicate-run reads.
+    assert gate["cycles_per_op"] >= 4.0
+    ratio = compute_ratios(records)["timer_speedup"]
+    assert ratio["value"] == round(gate["seconds"] / turbo["seconds"], 2)
+    assert ratio["value"] > 0.0
 
 
 def _timer_document(speedup, seconds=MIN_TIMED_WALL_SECONDS):
     return {
         "preset": "smoke",
-        "scenarios": [],
-        "timer": {
-            "speedup": speedup,
-            "gate": {"seconds": seconds},
-            "turbo": {"seconds": seconds},
-        },
+        "scenarios": [
+            {
+                "name": name,
+                "seconds": seconds,
+                "window_seconds": seconds,
+                "ops_per_second": 1000.0,
+                "accesses_per_op": 11.0,
+                "cycles_per_op": 4.04,
+            }
+            for name in ("timer/gate/churn", "timer/turbo/churn")
+        ],
+        "ratios": {"timer_speedup": {"value": speedup}},
     }
 
 
@@ -44,7 +55,7 @@ def test_baseline_check_flags_timer_speedup_regression():
     baseline = _timer_document(3.0)
     current = _timer_document(1.5)
     problems = check_against_baseline(current, baseline)
-    assert any("timer-churn turbo speedup" in problem for problem in problems)
+    assert any("timer_speedup" in problem for problem in problems)
     assert not check_against_baseline(baseline, baseline)
 
 

@@ -3,16 +3,18 @@
 The shared flags come from one table (:mod:`repro.obs.harness`); this
 test holds each subcommand's options, defaults and choices to a
 literal copy of the surface, so moving a flag into the table can never
-add, drop or change one unnoticed.  The literal records two deliberate
-edits: ``fabric --turbo`` is gone (``--mode turbo`` replaces it) and
+add, drop or change one unnoticed.  The literal records three deliberate
+edits: ``fabric --turbo`` is gone (``--mode turbo`` replaces it),
 fabric's ``--mode`` defaults to ``"gate"`` (the engine it always chose
-when neither flag was given).
+when neither flag was given), and ``bench --mode`` is gone (one bench
+run times every engine).
 """
 
 import argparse
 
 import pytest
 
+from repro.bench.perf import build_parser as bench_parser
 from repro.fabric.runner import build_parser as fabric_parser
 from repro.net.timer import build_parser as timer_parser
 from repro.obs.runner import build_parser as obs_parser
@@ -20,6 +22,12 @@ from repro.serve.server import build_parser as serve_parser
 
 #: subcommand -> option strings -> (default, choices)
 SURFACE = {
+    "bench": {
+        ("--smoke",): (False, None),
+        ("--check",): (False, None),
+        ("--output",): ("BENCH_sort_retrieve.json", None),
+        ("--seed",): (20060101, None),
+    },
     "obs": {
         ("--ops",): (10000, None),
         ("--seed",): (20060101, None),
@@ -121,6 +129,7 @@ SURFACE = {
 }
 
 PARSERS = {
+    "bench": bench_parser,
     "obs": obs_parser,
     "fabric": fabric_parser,
     "timer": timer_parser,
