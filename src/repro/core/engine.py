@@ -124,6 +124,12 @@ class DataPlaneEngine(Protocol):
     per-structure access counters in ``registry`` — gate/turbo count
     gate-accurate memory traffic, vector reports a modeled cost that
     stays within the invariant monitors' architectural budgets.
+
+    Every engine inherits
+    :class:`~repro.core.sort_retrieve.CircuitSurface`, which writes
+    ``describe``, ``run_mixed``, ``attach_tracer`` / ``detach_tracer``
+    (with the traced wrappers and their fault hooks) and ``from_state``
+    once over the observers below; an engine implements the rest.
     """
 
     fmt: WordFormat

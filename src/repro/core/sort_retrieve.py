@@ -49,18 +49,28 @@ turbo``) builds the fused flavours, which override only the hot
 primitives and charge the identical accesses, so cycles, access
 counters, served order and snapshots are equal between the two.
 
-**Telemetry** is opt-in via
-:meth:`TagSortRetrieveCircuit.attach_tracer`: every operation then emits
-a structured :class:`~repro.obs.events.TraceEvent` (tag, cycles,
-occupancy, backup-path activation, per-structure read/write deltas; the
-batched paths wrap their per-op events in an attributing span).  The
-traced variants are bound as instance attributes only while a tracer is
-attached, so the default untraced circuit runs the unmodified hot paths.
+**One surface for every engine.**  :class:`CircuitSurface` holds what
+every engine (gate, turbo and the numpy
+:class:`~repro.core.vector.VectorSortRetrieveCircuit`) shares above its
+operations: telemetry, the :class:`FaultInjection` hook,
+:meth:`~CircuitSurface.run_mixed`, :meth:`~CircuitSurface.describe`,
+:meth:`~CircuitSurface.from_state` and the WFQ window check.  It is
+written once over the engine-neutral observers, so an engine implements
+only the operations and the registers they read.
+
+**Telemetry** is opt-in via :meth:`CircuitSurface.attach_tracer`: every
+operation then emits a structured :class:`~repro.obs.events.TraceEvent`
+(tag, cycles, occupancy, backup-path activation, per-structure
+read/write deltas; the batched paths wrap their per-op events in an
+attributing span).  The traced variants are bound as instance attributes
+only while a tracer is attached, so the default untraced circuit runs
+the unmodified hot paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index as _as_index
 from typing import (
     Any,
     Dict,
@@ -106,6 +116,25 @@ class ServedTag(NamedTuple):
     address: int = 0
 
 
+def handle_index(handle: Any) -> Optional[int]:
+    """``handle`` as a storage address, or None when it cannot be one.
+
+    A handle is an integer.  A bool is an int to Python but never a
+    handle, and anything :func:`operator.index` rejects (a float equal
+    to a live address, a string) names no entry either, so every
+    engine's ``is_live_handle`` is false for both and the handle-taking
+    operations refuse them before any state moves.
+    """
+    if type(handle) is int:
+        return handle
+    if isinstance(handle, bool):
+        return None
+    try:
+        return _as_index(handle)
+    except TypeError:
+        return None
+
+
 @dataclass
 class FaultInjection:
     """Seeded faults for exercising the online invariant monitors.
@@ -145,24 +174,24 @@ class FaultInjection:
     misreport_remove_handle: int = 0
     skip_removal_release: bool = False
 
-    def _after_insert(self, circuit: "TagSortRetrieveCircuit", count: int = 1) -> None:
+    def _after_insert(self, circuit: "CircuitSurface", count: int = 1) -> None:
         if self.extra_insert_writes:
             circuit.storage.stats.record_write(self.extra_insert_writes * count)
 
-    def _after_dequeue(self, circuit: "TagSortRetrieveCircuit", count: int = 1) -> None:
+    def _after_dequeue(self, circuit: "CircuitSurface", count: int = 1) -> None:
         if self.extra_dequeue_reads:
             circuit.storage.stats.record_read(self.extra_dequeue_reads * count)
         if self.skip_free_release:
             circuit.storage.stats.writes -= count
 
-    def _reported_tag(self, circuit: "TagSortRetrieveCircuit", tag: int) -> int:
+    def _reported_tag(self, circuit: "CircuitSurface", tag: int) -> int:
         if not self.misreport_serve_offset:
             return tag
         if circuit.modular:
             return (tag + self.misreport_serve_offset) % circuit.fmt.capacity
         return tag + self.misreport_serve_offset
 
-    def _after_remove(self, circuit: "TagSortRetrieveCircuit", count: int = 1) -> None:
+    def _after_remove(self, circuit: "CircuitSurface", count: int = 1) -> None:
         if self.skip_removal_release:
             circuit.storage.stats.writes -= count
 
@@ -170,11 +199,476 @@ class FaultInjection:
         return handle + self.misreport_remove_handle
 
 
-class TagSortRetrieveCircuit:
+class CircuitSurface:
+    """What every engine shares above its own operations.
+
+    An engine implements the operations named in :attr:`_TRACED_OPS`,
+    the observers and handle checks of
+    :class:`~repro.core.engine.DataPlaneEngine`, ``to_state`` /
+    ``load_state`` and ``check_invariants``, over its own registers.
+    It inherits the rest, written here once over those observers
+    (``count``, ``free_list_depth``, ``peek_head``, ``handle_tag``) and
+    the ``registry``, ``fmt``, ``modular`` and ``storage.stats``
+    attributes every engine carries:
+
+    * telemetry — :meth:`attach_tracer`, :meth:`detach_tracer` and one
+      traced wrapper per operation, each calling the engine's own
+      untraced operation through ``type(self)``;
+    * the :class:`FaultInjection` hook those wrappers consult;
+    * :meth:`run_mixed`, :meth:`describe`, :meth:`from_state`,
+      :meth:`total_stats` and the WFQ window check.
+
+    The one engine-specific telemetry input is
+    :meth:`_take_used_backup`.
+    """
+
+    #: Seeded telemetry faults (:class:`FaultInjection`) — a test hook
+    #: read only by the traced wrappers; ``None`` (the class default)
+    #: costs nothing on any path.
+    fault_injection: Optional[FaultInjection] = None
+
+    #: the operations a tracer wraps (``_traced_<name>`` each)
+    _TRACED_OPS = (
+        "insert",
+        "dequeue_min",
+        "insert_and_dequeue",
+        "insert_batch",
+        "dequeue_batch",
+        "remove",
+        "retag",
+        "clear_stale_section",
+        "flush_stale_markers",
+    )
+
+    def total_stats(self) -> AccessStats:
+        """Summed memory traffic across every internal structure."""
+        return self.registry.total()
+
+    def describe(self) -> dict:
+        """Machine-readable configuration snapshot.
+
+        The canonical ``config`` block of a JSONL trace header, the
+        snapshot interchange key, and the source the invariant monitors
+        derive their architectural bounds from (tree depth, tag-space
+        size, marker mode).  It names no engine.
+        """
+        return {
+            "levels": self.fmt.levels,
+            "literal_bits": self.fmt.literal_bits,
+            "word_bits": self.fmt.word_bits,
+            "branching_factor": self.fmt.branching_factor,
+            "tag_space": self.fmt.capacity,
+            "capacity": self.storage.capacity,
+            "modular": self.modular,
+            "eager_marker_removal": self.eager_marker_removal,
+        }
+
+    def _check_monotone_against(self, tag: int, minimum: Optional[int]) -> None:
+        """Enforce the WFQ invariant against an explicit minimum.
+
+        New tags never precede the minimum.  In modular mode the
+        comparison is sequence-number style: the forward (wrapped)
+        distance from the minimum to the new tag must be under half the
+        tag space, the standard serial-number rule that makes the
+        wrapped window unambiguous.  Each engine's ``_check_monotone``
+        passes its head register; a retag passes the *post-removal*
+        minimum so an illegal new tag is rejected before the old entry
+        is unlinked.
+        """
+        if minimum is None:
+            return
+        if self.modular:
+            distance = (tag - minimum) % self._tag_space
+            if distance >= self._half_space:
+                raise ProtocolError(
+                    f"tag {tag} is behind the window minimum {minimum} "
+                    f"(wrapped distance {distance})"
+                )
+        elif tag < minimum:
+            raise ProtocolError(
+                f"WFQ invariant violated: tag {tag} below current "
+                f"minimum {minimum} (use eager_marker_removal=True for "
+                "general priority-queue workloads)"
+            )
+
+    _MIXED_KINDS = frozenset(("insert", "dequeue", "remove", "retag"))
+
+    def run_mixed(self, operations: Iterable[Tuple]) -> List[ServedTag]:
+        """Execute a mixed op stream, coalescing runs into batch calls.
+
+        ``operations`` yields ``("insert", tag[, payload])``,
+        ``("dequeue",)``, ``("remove", handle)``, and ``("retag",
+        handle, new_tag)`` tuples.  Consecutive inserts and dequeues
+        are grouped into one :meth:`insert_batch` /
+        :meth:`dequeue_batch` call, so bursty streams (the common WFQ
+        arrival pattern) pay per-batch instead of per-op overhead;
+        dynamic updates flush any pending batch (stream order is
+        preserved) and execute per-op.  Returns every *served* tag in
+        service order — identical to executing the stream one operation
+        at a time; removed entries are not served and are not returned.
+
+        The whole stream is validated for known op kinds **before any
+        operation executes**, so an invalid stream raises
+        :class:`ConfigurationError` with the circuit untouched — no
+        partially applied prefix.
+        """
+        ops = [tuple(operation) for operation in operations]
+        for operation in ops:
+            if not operation or operation[0] not in self._MIXED_KINDS:
+                kind = operation[0] if operation else None
+                raise ConfigurationError(
+                    f"unknown mixed operation kind {kind!r}"
+                )
+        served: List[ServedTag] = []
+        pending_inserts: List[Tuple[int, Any]] = []
+        pending_dequeues = 0
+
+        def flush() -> None:
+            nonlocal pending_inserts, pending_dequeues
+            if pending_inserts:
+                self.insert_batch(
+                    [tag for tag, _ in pending_inserts],
+                    [payload for _, payload in pending_inserts],
+                )
+                pending_inserts = []
+            if pending_dequeues:
+                served.extend(self.dequeue_batch(pending_dequeues))
+                pending_dequeues = 0
+
+        # At most one kind is pending at a time, so switching kinds
+        # flushes only the other one.
+        for operation in ops:
+            kind = operation[0]
+            if kind == "insert":
+                if pending_dequeues:
+                    flush()
+                payload = operation[2] if len(operation) > 2 else None
+                pending_inserts.append((operation[1], payload))
+            elif kind == "dequeue":
+                if pending_inserts:
+                    flush()
+                pending_dequeues += 1
+            elif kind == "remove":
+                flush()
+                self.remove(operation[1])
+            else:  # retag
+                flush()
+                self.retag(operation[1], operation[2])
+        flush()
+        return served
+
+    @classmethod
+    def from_state(
+        cls, state: dict, *, tracer=None, **options
+    ) -> "CircuitSurface":
+        """Reconstruct a circuit from a :meth:`to_state` snapshot.
+
+        The class picks the engine: snapshots are engine-neutral, so
+        ``FusedSortRetrieveCircuit.from_state`` restores any snapshot
+        under turbo and ``VectorSortRetrieveCircuit.from_state`` under
+        vector.  ``options`` go to the constructor: behaviour that is
+        not state, such as a scalar engine's ``matcher_factory`` (the
+        constructor's default when omitted).  A ``tracer`` may be
+        attached to the restored circuit directly.
+        """
+        config = state["config"]
+        fmt = WordFormat(
+            levels=config["levels"], literal_bits=config["literal_bits"]
+        )
+        circuit = cls(
+            fmt,
+            capacity=config["capacity"],
+            eager_marker_removal=config["eager_marker_removal"],
+            modular=config["modular"],
+            **options,
+        )
+        circuit.load_state(state)
+        if tracer is not None:
+            circuit.attach_tracer(tracer)
+        return circuit
+
+    # ------------------------------------------------------------------
+    # telemetry (opt-in; zero-cost when disabled)
+
+    def attach_tracer(self, tracer) -> None:
+        """Start emitting structured telemetry events to ``tracer``.
+
+        The traced variants of the operation methods are bound as
+        *instance* attributes, shadowing the plain class methods — so an
+        untraced circuit runs the exact pre-telemetry hot paths with no
+        per-operation guard, and :meth:`detach_tracer` restores them by
+        deleting the shadows.  Passing a disabled tracer (or ``None``)
+        detaches.
+        """
+        if tracer is None or not getattr(tracer, "enabled", False):
+            self.detach_tracer()
+            return
+        self.tracer = tracer
+        for name in self._TRACED_OPS:
+            setattr(self, name, getattr(self, f"_traced_{name}"))
+
+    def detach_tracer(self) -> None:
+        """Stop tracing and restore the uninstrumented hot paths."""
+        self.tracer = NULL_TRACER
+        for name in self._TRACED_OPS:
+            self.__dict__.pop(name, None)
+
+    def _take_used_backup(self) -> bool:
+        """Whether the last tree search used its backup path; clears it.
+
+        The traced wrappers call it before an insert (to drop a stale
+        answer) and after it.  An engine whose search does not model
+        the backup path (vector) keeps this default and reports False.
+        """
+        return False
+
+    def _op_attrs(self) -> dict:
+        """Shared register-derived attributes of a per-op event."""
+        return {
+            "cycles": FIXED_OP_CYCLES,
+            "occupancy": self.count,
+            "free_list_depth": self.free_list_depth,
+        }
+
+    def _trace_failure(
+        self, kind: str, before: dict, error: BaseException, **attrs
+    ) -> None:
+        """The event of an operation that raised: its partial deltas."""
+        self.tracer.event(
+            kind,
+            deltas=self.registry.deltas_since(before),
+            **attrs,
+            failed=True,
+            error=type(error).__name__,
+        )
+
+    def _traced_insert(self, tag: int, payload: Any = None) -> int:
+        before = self.registry.snapshot_all()
+        self._take_used_backup()
+        try:
+            address = type(self).insert(self, tag, payload)
+        except BaseException as error:
+            self._trace_failure("insert", before, error, tag=tag)
+            raise
+        used_backup = self._take_used_backup()
+        fault = self.fault_injection
+        if fault is not None:
+            fault._after_insert(self)
+        self.tracer.event(
+            "insert",
+            deltas=self.registry.deltas_since(before),
+            tag=tag,
+            address=address,
+            used_backup=used_backup,
+            **self._op_attrs(),
+        )
+        return address
+
+    def _traced_dequeue_min(self) -> ServedTag:
+        before = self.registry.snapshot_all()
+        try:
+            served = type(self).dequeue_min(self)
+        except BaseException as error:
+            self._trace_failure("dequeue", before, error)
+            raise
+        fault = self.fault_injection
+        if fault is not None:
+            fault._after_dequeue(self)
+        self.tracer.event(
+            "dequeue",
+            deltas=self.registry.deltas_since(before),
+            tag=(
+                served.tag
+                if fault is None
+                else fault._reported_tag(self, served.tag)
+            ),
+            address=served.address,
+            **self._op_attrs(),
+        )
+        return served
+
+    def _traced_insert_and_dequeue(
+        self, tag: int, payload: Any = None
+    ) -> Tuple[ServedTag, int]:
+        before = self.registry.snapshot_all()
+        self._take_used_backup()
+        try:
+            served, address = type(self).insert_and_dequeue(
+                self, tag, payload
+            )
+        except BaseException as error:
+            self._trace_failure("insert_dequeue", before, error, tag=tag)
+            raise
+        used_backup = self._take_used_backup()
+        fault = self.fault_injection
+        if fault is not None:
+            fault._after_insert(self)
+        self.tracer.event(
+            "insert_dequeue",
+            deltas=self.registry.deltas_since(before),
+            tag=tag,
+            address=address,
+            served_tag=(
+                served.tag
+                if fault is None
+                else fault._reported_tag(self, served.tag)
+            ),
+            served_address=served.address,
+            used_backup=used_backup,
+            **self._op_attrs(),
+        )
+        return served, address
+
+    def _traced_insert_batch(
+        self,
+        tags: Sequence[int],
+        payloads: Optional[Sequence[Any]] = None,
+    ) -> List[int]:
+        tags = list(tags)
+        if self.eager_marker_removal:
+            # The eager path falls back to per-op inserts, whose traced
+            # wrappers already emit one event each.
+            return type(self).insert_batch(self, tags, payloads)
+        tracer = self.tracer
+        start = self.count
+        with tracer.span(
+            "insert_batch", registry=self.registry, count=len(tags)
+        ):
+            self._take_used_backup()
+            addresses = type(self).insert_batch(self, tags, payloads)
+            used_backup = self._take_used_backup()
+            fault = self.fault_injection
+            if fault is not None:
+                fault._after_insert(self, count=len(tags))
+            # One event per logical operation, in input order, so the
+            # batched stream is event-for-event comparable to per-op
+            # mode; the memory-traffic deltas live on the enclosing
+            # span (the batch amortizes them across the run).
+            for index, (tag, address) in enumerate(zip(tags, addresses)):
+                tracer.event(
+                    "insert",
+                    tag=tag,
+                    address=address,
+                    cycles=FIXED_OP_CYCLES,
+                    occupancy=start + index + 1,
+                    used_backup=used_backup and index == 0,
+                    batched=True,
+                )
+        return addresses
+
+    def _traced_dequeue_batch(self, count: int) -> List[ServedTag]:
+        tracer = self.tracer
+        start = self.count
+        with tracer.span(
+            "dequeue_batch", registry=self.registry, count=count
+        ):
+            served = type(self).dequeue_batch(self, count)
+            fault = self.fault_injection
+            if fault is not None:
+                fault._after_dequeue(self, count=count)
+            for index, entry in enumerate(served):
+                tracer.event(
+                    "dequeue",
+                    tag=(
+                        entry.tag
+                        if fault is None
+                        else fault._reported_tag(self, entry.tag)
+                    ),
+                    address=entry.address,
+                    cycles=FIXED_OP_CYCLES,
+                    occupancy=start - index - 1,
+                    batched=True,
+                )
+        return served
+
+    def _traced_remove(self, handle: int) -> ServedTag:
+        before = self.registry.snapshot_all()
+        cycles_before = self.cycles
+        head = self.peek_head()
+        was_head = head is not None and handle == head.address
+        try:
+            removed = type(self).remove(self, handle)
+        except BaseException as error:
+            self._trace_failure("remove", before, error, address=handle)
+            raise
+        fault = self.fault_injection
+        if fault is not None:
+            fault._after_remove(self)
+        self.tracer.event(
+            "remove",
+            deltas=self.registry.deltas_since(before),
+            tag=removed.tag,
+            address=(
+                handle if fault is None else fault._reported_handle(handle)
+            ),
+            head=was_head,
+            cycles=self.cycles - cycles_before,
+            occupancy=self.count,
+            free_list_depth=self.free_list_depth,
+        )
+        return removed
+
+    def _traced_retag(self, handle: int, new_tag: int) -> int:
+        before = self.registry.snapshot_all()
+        cycles_before = self.cycles
+        old_tag = self.handle_tag(handle)
+        try:
+            address = type(self).retag(self, handle, new_tag)
+        except BaseException as error:
+            self._trace_failure(
+                "retag", before, error, address=handle, new_tag=new_tag
+            )
+            raise
+        fault = self.fault_injection
+        if fault is not None:
+            fault._after_remove(self)
+        self.tracer.event(
+            "retag",
+            deltas=self.registry.deltas_since(before),
+            tag=old_tag,
+            new_tag=new_tag,
+            address=(
+                handle if fault is None else fault._reported_handle(handle)
+            ),
+            new_address=address,
+            cycles=self.cycles - cycles_before,
+            occupancy=self.count,
+            free_list_depth=self.free_list_depth,
+        )
+        return address
+
+    def _traced_clear_stale_section(self, root_literal: int) -> int:
+        before = self.registry.snapshot_all()
+        try:
+            purged = type(self).clear_stale_section(self, root_literal)
+        except BaseException as error:
+            self._trace_failure(
+                "section_clear", before, error, root_literal=root_literal
+            )
+            raise
+        self.tracer.event(
+            "section_clear",
+            deltas=self.registry.deltas_since(before),
+            root_literal=root_literal,
+            purged=purged,
+        )
+        return purged
+
+    def _traced_flush_stale_markers(self) -> None:
+        before = self.registry.snapshot_all()
+        type(self).flush_stale_markers(self)
+        self.tracer.event(
+            "marker_flush", deltas=self.registry.deltas_since(before)
+        )
+
+
+class TagSortRetrieveCircuit(CircuitSurface):
     """The complete tag sort/retrieve circuit of paper Fig. 3.
 
     Built over the gate-accurate reference structures (``--mode gate``);
     :class:`FusedSortRetrieveCircuit` swaps in the fused flavours.
+    Telemetry, :meth:`run_mixed`, :meth:`describe` and
+    :meth:`from_state` come from :class:`CircuitSurface`.
     """
 
     #: the ``--mode`` name of this flavour
@@ -183,11 +677,6 @@ class TagSortRetrieveCircuit:
     tree_class = MultiBitTree
     translation_class = TranslationTable
     storage_class = TagStorageMemory
-
-    #: Seeded telemetry faults (:class:`FaultInjection`) — a test hook
-    #: read only by the traced wrappers; ``None`` (the class default)
-    #: costs nothing on any path.
-    fault_injection: Optional[FaultInjection] = None
 
     def __init__(
         self,
@@ -278,60 +767,10 @@ class TagSortRetrieveCircuit:
         """
         return self.storage.peek_tags(count)
 
-    def total_stats(self) -> AccessStats:
-        """Summed memory traffic across every internal structure."""
-        return self.registry.total()
-
-    def describe(self) -> dict:
-        """Machine-readable configuration snapshot.
-
-        The canonical ``config`` block of a JSONL trace header, and the
-        source the invariant monitors derive their architectural bounds
-        from (tree depth, tag-space size, marker mode).
-        """
-        return {
-            "levels": self.fmt.levels,
-            "literal_bits": self.fmt.literal_bits,
-            "word_bits": self.fmt.word_bits,
-            "branching_factor": self.fmt.branching_factor,
-            "tag_space": self.fmt.capacity,
-            "capacity": self.storage.capacity,
-            "modular": self.modular,
-            "eager_marker_removal": self.eager_marker_removal,
-        }
-
     def _check_monotone(self, tag: int) -> None:
-        """Enforce the WFQ invariant: new tags never precede the minimum.
-
-        In modular mode the comparison is sequence-number style: the
-        forward (wrapped) distance from the minimum to the new tag must be
-        under half the tag space, the standard serial-number rule that
-        makes the wrapped window unambiguous.
-        """
+        """Enforce the WFQ invariant: new tags never precede the minimum."""
         # min_tag, skipping the property
         self._check_monotone_against(tag, self.storage._head_tag)
-
-    def _check_monotone_against(self, tag: int, minimum: Optional[int]) -> None:
-        """:meth:`_check_monotone` against an explicit minimum.
-
-        :meth:`retag` uses this with the *post-removal* minimum so an
-        illegal new tag is rejected before the old entry is unlinked.
-        """
-        if minimum is None:
-            return
-        if self.modular:
-            distance = (tag - minimum) % self._tag_space
-            if distance >= self._half_space:
-                raise ProtocolError(
-                    f"tag {tag} is behind the window minimum {minimum} "
-                    f"(wrapped distance {distance})"
-                )
-        elif tag < minimum:
-            raise ProtocolError(
-                f"WFQ invariant violated: tag {tag} below current "
-                f"minimum {minimum} (use eager_marker_removal=True for "
-                "general priority-queue workloads)"
-            )
 
     # ------------------------------------------------------------------
     # insert (sort-model input-side lookup)
@@ -600,89 +1039,25 @@ class TagSortRetrieveCircuit:
         self.operations += count
         return served
 
-    _MIXED_KINDS = frozenset(("insert", "dequeue", "remove", "retag"))
-
-    def run_mixed(self, operations: Iterable[Tuple]) -> List[ServedTag]:
-        """Execute a mixed op stream, coalescing runs into batch calls.
-
-        ``operations`` yields ``("insert", tag[, payload])``,
-        ``("dequeue",)``, ``("remove", handle)``, and ``("retag",
-        handle, new_tag)`` tuples.  Consecutive inserts and dequeues
-        are grouped into one :meth:`insert_batch` /
-        :meth:`dequeue_batch` call, so bursty streams (the common WFQ
-        arrival pattern) pay per-batch instead of per-op overhead;
-        dynamic updates flush any pending batch (stream order is
-        preserved) and execute per-op.  Returns every *served* tag in
-        service order — identical to executing the stream one operation
-        at a time; removed entries are not served and are not returned.
-
-        The whole stream is validated for known op kinds **before any
-        operation executes**, so an invalid stream raises
-        :class:`ConfigurationError` with the circuit untouched — no
-        partially applied prefix.
-        """
-        ops = [tuple(operation) for operation in operations]
-        for operation in ops:
-            if not operation or operation[0] not in self._MIXED_KINDS:
-                kind = operation[0] if operation else None
-                raise ConfigurationError(
-                    f"unknown mixed operation kind {kind!r}"
-                )
-        served: List[ServedTag] = []
-        pending_inserts: List[Tuple[int, Any]] = []
-        pending_dequeues = 0
-
-        def flush() -> None:
-            nonlocal pending_inserts, pending_dequeues
-            if pending_inserts:
-                self.insert_batch(
-                    [tag for tag, _ in pending_inserts],
-                    [payload for _, payload in pending_inserts],
-                )
-                pending_inserts = []
-            if pending_dequeues:
-                served.extend(self.dequeue_batch(pending_dequeues))
-                pending_dequeues = 0
-
-        for operation in ops:
-            kind = operation[0]
-            if kind == "insert":
-                if pending_dequeues:
-                    served.extend(self.dequeue_batch(pending_dequeues))
-                    pending_dequeues = 0
-                payload = operation[2] if len(operation) > 2 else None
-                pending_inserts.append((operation[1], payload))
-            elif kind == "dequeue":
-                if pending_inserts:
-                    self.insert_batch(
-                        [tag for tag, _ in pending_inserts],
-                        [payload for _, payload in pending_inserts],
-                    )
-                    pending_inserts = []
-                pending_dequeues += 1
-            elif kind == "remove":
-                flush()
-                self.remove(operation[1])
-            else:  # retag
-                flush()
-                self.retag(operation[1], operation[2])
-        flush()
-        return served
-
     # ------------------------------------------------------------------
     # dynamic updates (remove-by-handle, retag)
 
     def is_live_handle(self, handle: int) -> bool:
-        """Whether ``handle`` names a live (not yet retired) entry."""
-        return handle in self._handles
+        """Whether ``handle`` names a live (not yet retired) entry.
+
+        False for a bool or a non-integer (:func:`handle_index`), so the
+        handle-taking operations below refuse one before any access.
+        """
+        address = handle_index(handle)
+        return address is not None and address in self._handles
 
     def handle_tag(self, handle: int) -> Optional[int]:
         """The tag a live handle was issued for (None when stale)."""
-        return self._handles.get(handle)
+        return self._handles[handle] if self.is_live_handle(handle) else None
 
     def handle_payload(self, handle: int) -> Any:
         """A live handle's payload (debug peek, no access accounting)."""
-        if handle not in self._handles:
+        if not self.is_live_handle(handle):
             raise ProtocolError(
                 f"handle {handle} does not name a live entry"
             )
@@ -714,11 +1089,11 @@ class TagSortRetrieveCircuit:
         one per extra duplicate-run read beyond the fixed window.
         Returns the removed entry as a :class:`ServedTag`.
         """
-        tag = self._handles.get(handle)
-        if tag is None:
+        if not self.is_live_handle(handle):
             raise ProtocolError(
                 f"handle {handle} does not name a live entry"
             )
+        tag = self._handles[handle]
         storage = self.storage
         translation = self.translation
         extra_cycles = 0
@@ -801,7 +1176,7 @@ class TagSortRetrieveCircuit:
 
     def _validate_retag(self, handle: int, new_tag: int) -> None:
         """Reject an illegal retag before any state changes."""
-        if handle not in self._handles:
+        if not self.is_live_handle(handle):
             raise ProtocolError(
                 f"handle {handle} does not name a live entry"
             )
@@ -816,7 +1191,7 @@ class TagSortRetrieveCircuit:
             self._check_monotone_against(new_tag, minimum)
 
     # ------------------------------------------------------------------
-    # telemetry (opt-in; zero-cost when disabled)
+    # telemetry inputs
 
     @property
     def free_list_depth(self) -> int:
@@ -832,315 +1207,17 @@ class TagSortRetrieveCircuit:
             - storage.allocations_remaining_in_counter
         )
 
-    def attach_tracer(self, tracer) -> None:
-        """Start emitting structured telemetry events to ``tracer``.
+    def _take_used_backup(self) -> bool:
+        """Read and clear the tree's last search probe.
 
-        The traced variants of the operation methods are bound as
-        *instance* attributes, shadowing the plain class methods — so an
-        untraced circuit runs the exact pre-telemetry hot paths with no
-        per-operation guard, and :meth:`detach_tracer` restores them by
-        deleting the shadows.  Passing a disabled tracer (or ``None``)
-        detaches.
+        A traced insert searches with the reference
+        :meth:`~MultiBitTree.search` (see :meth:`_locate_predecessor`),
+        which leaves its :class:`~repro.core.tree.SearchOutcome` behind.
         """
-        if tracer is None or not getattr(tracer, "enabled", False):
-            self.detach_tracer()
-            return
-        self.tracer = tracer
-        self.insert = self._traced_insert
-        self.dequeue_min = self._traced_dequeue_min
-        self.insert_and_dequeue = self._traced_insert_and_dequeue
-        self.insert_batch = self._traced_insert_batch
-        self.dequeue_batch = self._traced_dequeue_batch
-        self.remove = self._traced_remove
-        self.retag = self._traced_retag
-        self.clear_stale_section = self._traced_clear_stale_section
-        self.flush_stale_markers = self._traced_flush_stale_markers
-
-    def detach_tracer(self) -> None:
-        """Stop tracing and restore the uninstrumented hot paths."""
-        self.tracer = NULL_TRACER
-        for name in (
-            "insert",
-            "dequeue_min",
-            "insert_and_dequeue",
-            "insert_batch",
-            "dequeue_batch",
-            "remove",
-            "retag",
-            "clear_stale_section",
-            "flush_stale_markers",
-        ):
-            self.__dict__.pop(name, None)
-
-    def _op_attrs(self) -> dict:
-        """Shared register-derived attributes of a per-op event."""
-        return {
-            "cycles": FIXED_OP_CYCLES,
-            "occupancy": self.count,
-            "free_list_depth": self.free_list_depth,
-        }
-
-    def _traced_insert(self, tag: int, payload: Any = None) -> int:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        self.tree.last_outcome = None
-        try:
-            address = TagSortRetrieveCircuit.insert(self, tag, payload)
-        except BaseException as error:
-            tracer.event(
-                "insert",
-                deltas=self.registry.deltas_since(before),
-                tag=tag,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        outcome = self.tree.last_outcome
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_insert(self)
-        tracer.event(
-            "insert",
-            deltas=self.registry.deltas_since(before),
-            tag=tag,
-            address=address,
-            used_backup=bool(outcome.used_backup) if outcome else False,
-            **self._op_attrs(),
-        )
-        return address
-
-    def _traced_dequeue_min(self) -> ServedTag:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        try:
-            served = TagSortRetrieveCircuit.dequeue_min(self)
-        except BaseException as error:
-            tracer.event(
-                "dequeue",
-                deltas=self.registry.deltas_since(before),
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_dequeue(self)
-        tracer.event(
-            "dequeue",
-            deltas=self.registry.deltas_since(before),
-            tag=(
-                served.tag
-                if fault is None
-                else fault._reported_tag(self, served.tag)
-            ),
-            address=served.address,
-            **self._op_attrs(),
-        )
-        return served
-
-    def _traced_insert_and_dequeue(
-        self, tag: int, payload: Any = None
-    ) -> Tuple[ServedTag, int]:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        self.tree.last_outcome = None
-        try:
-            served, address = TagSortRetrieveCircuit.insert_and_dequeue(
-                self, tag, payload
-            )
-        except BaseException as error:
-            tracer.event(
-                "insert_dequeue",
-                deltas=self.registry.deltas_since(before),
-                tag=tag,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        outcome = self.tree.last_outcome
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_insert(self)
-        tracer.event(
-            "insert_dequeue",
-            deltas=self.registry.deltas_since(before),
-            tag=tag,
-            address=address,
-            served_tag=(
-                served.tag
-                if fault is None
-                else fault._reported_tag(self, served.tag)
-            ),
-            served_address=served.address,
-            used_backup=bool(outcome.used_backup) if outcome else False,
-            **self._op_attrs(),
-        )
-        return served, address
-
-    def _traced_insert_batch(
-        self,
-        tags: Sequence[int],
-        payloads: Optional[Sequence[Any]] = None,
-    ) -> List[int]:
-        tags = list(tags)
-        if self.eager_marker_removal:
-            # The eager path falls back to per-op inserts, whose traced
-            # wrappers already emit one event each.
-            return TagSortRetrieveCircuit.insert_batch(self, tags, payloads)
-        tracer = self.tracer
-        start = self.count
-        with tracer.span(
-            "insert_batch", registry=self.registry, count=len(tags)
-        ):
-            self.tree.last_outcome = None
-            addresses = TagSortRetrieveCircuit.insert_batch(
-                self, tags, payloads
-            )
-            fault = self.fault_injection
-            if fault is not None:
-                fault._after_insert(self, count=len(tags))
-            outcome = self.tree.last_outcome
-            used_backup = bool(outcome.used_backup) if outcome else False
-            # One event per logical operation, in input order, so the
-            # batched stream is event-for-event comparable to per-op
-            # mode; the memory-traffic deltas live on the enclosing
-            # span (the batch amortizes them across the run).
-            for index, (tag, address) in enumerate(zip(tags, addresses)):
-                tracer.event(
-                    "insert",
-                    tag=tag,
-                    address=address,
-                    cycles=FIXED_OP_CYCLES,
-                    occupancy=start + index + 1,
-                    used_backup=used_backup and index == 0,
-                    batched=True,
-                )
-        return addresses
-
-    def _traced_dequeue_batch(self, count: int) -> List[ServedTag]:
-        tracer = self.tracer
-        start = self.count
-        with tracer.span(
-            "dequeue_batch", registry=self.registry, count=count
-        ):
-            served = TagSortRetrieveCircuit.dequeue_batch(self, count)
-            fault = self.fault_injection
-            if fault is not None:
-                fault._after_dequeue(self, count=count)
-            for index, entry in enumerate(served):
-                tracer.event(
-                    "dequeue",
-                    tag=(
-                        entry.tag
-                        if fault is None
-                        else fault._reported_tag(self, entry.tag)
-                    ),
-                    address=entry.address,
-                    cycles=FIXED_OP_CYCLES,
-                    occupancy=start - index - 1,
-                    batched=True,
-                )
-        return served
-
-    def _traced_remove(self, handle: int) -> ServedTag:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        cycles_before = self.cycles
-        was_head = handle == self.storage._head_address
-        try:
-            removed = TagSortRetrieveCircuit.remove(self, handle)
-        except BaseException as error:
-            tracer.event(
-                "remove",
-                deltas=self.registry.deltas_since(before),
-                address=handle,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_remove(self)
-        tracer.event(
-            "remove",
-            deltas=self.registry.deltas_since(before),
-            tag=removed.tag,
-            address=(
-                handle if fault is None else fault._reported_handle(handle)
-            ),
-            head=was_head,
-            cycles=self.cycles - cycles_before,
-            occupancy=self.count,
-            free_list_depth=self.free_list_depth,
-        )
-        return removed
-
-    def _traced_retag(self, handle: int, new_tag: int) -> int:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        cycles_before = self.cycles
-        old_tag = self._handles.get(handle)
-        try:
-            address = TagSortRetrieveCircuit.retag(self, handle, new_tag)
-        except BaseException as error:
-            tracer.event(
-                "retag",
-                deltas=self.registry.deltas_since(before),
-                address=handle,
-                new_tag=new_tag,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_remove(self)
-        tracer.event(
-            "retag",
-            deltas=self.registry.deltas_since(before),
-            tag=old_tag,
-            new_tag=new_tag,
-            address=(
-                handle if fault is None else fault._reported_handle(handle)
-            ),
-            new_address=address,
-            cycles=self.cycles - cycles_before,
-            occupancy=self.count,
-            free_list_depth=self.free_list_depth,
-        )
-        return address
-
-    def _traced_clear_stale_section(self, root_literal: int) -> int:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        try:
-            purged = TagSortRetrieveCircuit.clear_stale_section(
-                self, root_literal
-            )
-        except BaseException as error:
-            tracer.event(
-                "section_clear",
-                deltas=self.registry.deltas_since(before),
-                root_literal=root_literal,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        tracer.event(
-            "section_clear",
-            deltas=self.registry.deltas_since(before),
-            root_literal=root_literal,
-            purged=purged,
-        )
-        return purged
-
-    def _traced_flush_stale_markers(self) -> None:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        TagSortRetrieveCircuit.flush_stale_markers(self)
-        tracer.event(
-            "marker_flush", deltas=self.registry.deltas_since(before)
-        )
+        tree = self.tree
+        outcome = tree.last_outcome
+        tree.last_outcome = None
+        return bool(outcome.used_backup) if outcome else False
 
     # ------------------------------------------------------------------
     # stale-section maintenance (Fig. 6)
@@ -1262,38 +1339,6 @@ class TagSortRetrieveCircuit:
                 int(address): tag for address, tag in handles
             }
         self._section_live = list(state["section_live"])
-
-    @classmethod
-    def from_state(
-        cls,
-        state: dict,
-        *,
-        matcher_factory=DEFAULT_MATCHER,
-        tracer=None,
-    ) -> "TagSortRetrieveCircuit":
-        """Reconstruct a circuit from a :meth:`to_state` snapshot.
-
-        The class picks the engine (``FusedSortRetrieveCircuit.from_state``
-        restores under turbo).  ``matcher_factory`` is behaviour, not
-        state, so the caller supplies it (the default matches the
-        default constructor); a ``tracer`` may be attached to the
-        restored circuit directly.
-        """
-        config = state["config"]
-        fmt = WordFormat(
-            levels=config["levels"], literal_bits=config["literal_bits"]
-        )
-        circuit = cls(
-            fmt,
-            capacity=config["capacity"],
-            matcher_factory=matcher_factory,
-            eager_marker_removal=config["eager_marker_removal"],
-            modular=config["modular"],
-        )
-        circuit.load_state(state)
-        if tracer is not None:
-            circuit.attach_tracer(tracer)
-        return circuit
 
     # ------------------------------------------------------------------
     # verification

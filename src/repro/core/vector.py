@@ -35,6 +35,13 @@ fabric's shards) into one ``(shards, words)`` matrix per level, so one
 array op — the lazy upper-level rebuild — advances every shard at
 once.
 
+Everything above the operations — telemetry and its fault hooks,
+``run_mixed``, ``describe`` and ``from_state`` — is inherited from
+:class:`~repro.core.sort_retrieve.CircuitSurface`, written once for
+every engine.  The array search does not model the gate tree's backup
+path, so a traced vector run reports ``used_backup: false`` on every
+insert.
+
 numpy is resolved through :func:`repro.core.engine.require_numpy`, so
 constructing this engine without numpy raises a clear
 :class:`~repro.hwsim.errors.ConfigurationError`; importing this module
@@ -45,7 +52,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import index as _as_index
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..hwsim.errors import (
     CapacityError,
@@ -56,7 +63,12 @@ from ..hwsim.errors import (
 from ..hwsim.stats import AccessStats, StatsRegistry
 from ..obs.tracer import NULL_TRACER
 from .engine import read_legacy_keys, require_numpy
-from .sort_retrieve import FIXED_OP_CYCLES, ServedTag
+from .sort_retrieve import (
+    FIXED_OP_CYCLES,
+    CircuitSurface,
+    ServedTag,
+    handle_index,
+)
 
 #: ``tuple.__new__`` bound once: building a ServedTag per served entry is
 #: the hot floor of the batch drain, and going through ``tuple.__new__``
@@ -152,16 +164,17 @@ class _VectorStorageView:
         self._circuit.check_invariants()
 
 
-class VectorSortRetrieveCircuit:
+class VectorSortRetrieveCircuit(CircuitSurface):
     """Array-data-plane twin of :class:`TagSortRetrieveCircuit`.
 
     Same operations, same served order, same addresses, same snapshot
     format; batch paths run as numpy array ops.  See the module
     docstring for the layout and the per-engine accounting contract.
+    Telemetry, :meth:`run_mixed`, :meth:`describe` and
+    :meth:`from_state` come from :class:`CircuitSurface`.
     """
 
     mode = "vector"
-    fault_injection = None
 
     def __init__(
         self,
@@ -277,23 +290,6 @@ class VectorSortRetrieveCircuit:
             tag=head, payload=self._payload[address], address=address
         )
 
-    def total_stats(self) -> AccessStats:
-        """Summed (modeled) memory traffic across every structure."""
-        return self.registry.total()
-
-    def describe(self) -> dict:
-        """Gate-shaped configuration snapshot (snapshot interchange key)."""
-        return {
-            "levels": self.fmt.levels,
-            "literal_bits": self.fmt.literal_bits,
-            "word_bits": self.fmt.word_bits,
-            "branching_factor": self.fmt.branching_factor,
-            "tag_space": self.fmt.capacity,
-            "capacity": self.capacity,
-            "modular": self.modular,
-            "eager_marker_removal": self.eager_marker_removal,
-        }
-
     # ------------------------------------------------------------------
     # internal register helpers
 
@@ -305,25 +301,6 @@ class VectorSortRetrieveCircuit:
 
     def _check_monotone(self, tag: int) -> None:
         self._check_monotone_against(tag, self._head_tag)
-
-    def _check_monotone_against(
-        self, tag: int, minimum: Optional[int]
-    ) -> None:
-        if minimum is None:
-            return
-        if self.modular:
-            distance = (tag - minimum) % self._tag_space
-            if distance >= self._half_space:
-                raise ProtocolError(
-                    f"tag {tag} is behind the window minimum {minimum} "
-                    f"(wrapped distance {distance})"
-                )
-        elif tag < minimum:
-            raise ProtocolError(
-                f"WFQ invariant violated: tag {tag} below current "
-                f"minimum {minimum} (use eager_marker_removal=True for "
-                "general priority-queue workloads)"
-            )
 
     def _next_live_tag(self, start: int) -> Optional[int]:
         """Smallest live tag at or after ``start`` (modular wraps)."""
@@ -1026,74 +1003,21 @@ class VectorSortRetrieveCircuit:
         self.operations += count
         return served
 
-    _MIXED_KINDS = frozenset(("insert", "dequeue", "remove", "retag"))
-
-    def run_mixed(self, operations: Iterable[Tuple]) -> List[ServedTag]:
-        """Execute a mixed op stream, coalescing runs into batch calls.
-
-        Identical contract to the gate engine: the stream is validated
-        for known kinds before anything executes, consecutive inserts
-        and dequeues collapse into one array op each, and dynamic
-        updates flush pending batches so stream order is preserved.
-        """
-        ops = [tuple(operation) for operation in operations]
-        for operation in ops:
-            if not operation or operation[0] not in self._MIXED_KINDS:
-                kind = operation[0] if operation else None
-                raise ConfigurationError(
-                    f"unknown mixed operation kind {kind!r}"
-                )
-        served: List[ServedTag] = []
-        pending_inserts: List[Tuple[int, Any]] = []
-        pending_dequeues = 0
-
-        def flush() -> None:
-            nonlocal pending_inserts, pending_dequeues
-            if pending_inserts:
-                self.insert_batch(
-                    [tag for tag, _ in pending_inserts],
-                    [payload for _, payload in pending_inserts],
-                )
-                pending_inserts = []
-            if pending_dequeues:
-                served.extend(self.dequeue_batch(pending_dequeues))
-                pending_dequeues = 0
-
-        for operation in ops:
-            kind = operation[0]
-            if kind == "insert":
-                if pending_dequeues:
-                    served.extend(self.dequeue_batch(pending_dequeues))
-                    pending_dequeues = 0
-                payload = operation[2] if len(operation) > 2 else None
-                pending_inserts.append((operation[1], payload))
-            elif kind == "dequeue":
-                if pending_inserts:
-                    self.insert_batch(
-                        [tag for tag, _ in pending_inserts],
-                        [payload for _, payload in pending_inserts],
-                    )
-                    pending_inserts = []
-                pending_dequeues += 1
-            elif kind == "remove":
-                flush()
-                self.remove(operation[1])
-            else:  # retag
-                flush()
-                self.retag(operation[1], operation[2])
-        flush()
-        return served
-
     # ------------------------------------------------------------------
     # dynamic updates (remove-by-handle, retag)
 
     def is_live_handle(self, handle: int) -> bool:
-        """Whether ``handle`` names a live (not yet retired) entry."""
-        try:
-            handle = _as_index(handle)
-        except TypeError:
-            return False
-        return 0 <= handle < self.capacity and self._is_live(handle)
+        """Whether ``handle`` names a live (not yet retired) entry.
+
+        False for a bool or a non-integer (:func:`handle_index`), as on
+        every engine.
+        """
+        address = handle_index(handle)
+        return (
+            address is not None
+            and 0 <= address < self.capacity
+            and self._is_live(address)
+        )
 
     def handle_tag(self, handle: int) -> Optional[int]:
         """The tag a live handle was issued for (None when stale)."""
@@ -1459,319 +1383,6 @@ class VectorSortRetrieveCircuit:
 
         self.cycles = state["cycles"]
         self.operations = state["operations"]
-
-    @classmethod
-    def from_state(cls, state: dict, *, tracer=None) -> "VectorSortRetrieveCircuit":
-        """Reconstruct a vector engine from any engine's snapshot."""
-        config = state["config"]
-        fmt = WordFormat(
-            levels=config["levels"], literal_bits=config["literal_bits"]
-        )
-        circuit = cls(
-            fmt,
-            capacity=config["capacity"],
-            eager_marker_removal=config["eager_marker_removal"],
-            modular=config["modular"],
-        )
-        circuit.load_state(state)
-        if tracer is not None:
-            circuit.attach_tracer(tracer)
-        return circuit
-
-    # ------------------------------------------------------------------
-    # telemetry (same attach/detach shadowing scheme as gate)
-
-    def attach_tracer(self, tracer) -> None:
-        """Start emitting gate-shaped telemetry events to ``tracer``."""
-        if tracer is None or not getattr(tracer, "enabled", False):
-            self.detach_tracer()
-            return
-        self.tracer = tracer
-        self.insert = self._traced_insert
-        self.dequeue_min = self._traced_dequeue_min
-        self.insert_and_dequeue = self._traced_insert_and_dequeue
-        self.insert_batch = self._traced_insert_batch
-        self.dequeue_batch = self._traced_dequeue_batch
-        self.remove = self._traced_remove
-        self.retag = self._traced_retag
-        self.clear_stale_section = self._traced_clear_stale_section
-        self.flush_stale_markers = self._traced_flush_stale_markers
-
-    def detach_tracer(self) -> None:
-        """Stop tracing and restore the uninstrumented hot paths."""
-        self.tracer = NULL_TRACER
-        for name in (
-            "insert",
-            "dequeue_min",
-            "insert_and_dequeue",
-            "insert_batch",
-            "dequeue_batch",
-            "remove",
-            "retag",
-            "clear_stale_section",
-            "flush_stale_markers",
-        ):
-            self.__dict__.pop(name, None)
-
-    def _op_attrs(self) -> dict:
-        return {
-            "cycles": FIXED_OP_CYCLES,
-            "occupancy": self._count,
-            "free_list_depth": self._free_top,
-        }
-
-    def _traced_insert(self, tag: int, payload: Any = None) -> int:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        try:
-            address = VectorSortRetrieveCircuit.insert(self, tag, payload)
-        except BaseException as error:
-            tracer.event(
-                "insert",
-                deltas=self.registry.deltas_since(before),
-                tag=tag,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_insert(self)
-        tracer.event(
-            "insert",
-            deltas=self.registry.deltas_since(before),
-            tag=tag,
-            address=address,
-            used_backup=False,
-            **self._op_attrs(),
-        )
-        return address
-
-    def _traced_dequeue_min(self) -> ServedTag:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        try:
-            served = VectorSortRetrieveCircuit.dequeue_min(self)
-        except BaseException as error:
-            tracer.event(
-                "dequeue",
-                deltas=self.registry.deltas_since(before),
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_dequeue(self)
-        tracer.event(
-            "dequeue",
-            deltas=self.registry.deltas_since(before),
-            tag=(
-                served.tag
-                if fault is None
-                else fault._reported_tag(self, served.tag)
-            ),
-            address=served.address,
-            **self._op_attrs(),
-        )
-        return served
-
-    def _traced_insert_and_dequeue(
-        self, tag: int, payload: Any = None
-    ) -> Tuple[ServedTag, int]:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        try:
-            served, address = VectorSortRetrieveCircuit.insert_and_dequeue(
-                self, tag, payload
-            )
-        except BaseException as error:
-            tracer.event(
-                "insert_dequeue",
-                deltas=self.registry.deltas_since(before),
-                tag=tag,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_insert(self)
-        tracer.event(
-            "insert_dequeue",
-            deltas=self.registry.deltas_since(before),
-            tag=tag,
-            address=address,
-            served_tag=(
-                served.tag
-                if fault is None
-                else fault._reported_tag(self, served.tag)
-            ),
-            served_address=served.address,
-            used_backup=False,
-            **self._op_attrs(),
-        )
-        return served, address
-
-    def _traced_insert_batch(
-        self,
-        tags: Sequence[int],
-        payloads: Optional[Sequence[Any]] = None,
-    ) -> List[int]:
-        tags = list(tags)
-        if self.eager_marker_removal:
-            # Falls back to per-op inserts, whose traced wrappers emit
-            # one event each.
-            return VectorSortRetrieveCircuit.insert_batch(
-                self, tags, payloads
-            )
-        tracer = self.tracer
-        start = self._count
-        with tracer.span(
-            "insert_batch", registry=self.registry, count=len(tags)
-        ):
-            addresses = VectorSortRetrieveCircuit.insert_batch(
-                self, tags, payloads
-            )
-            fault = self.fault_injection
-            if fault is not None:
-                fault._after_insert(self, count=len(tags))
-            for position, (tag, address) in enumerate(zip(tags, addresses)):
-                tracer.event(
-                    "insert",
-                    tag=tag,
-                    address=address,
-                    cycles=FIXED_OP_CYCLES,
-                    occupancy=start + position + 1,
-                    used_backup=False,
-                    batched=True,
-                )
-        return addresses
-
-    def _traced_dequeue_batch(self, count: int) -> List[ServedTag]:
-        tracer = self.tracer
-        start = self._count
-        with tracer.span(
-            "dequeue_batch", registry=self.registry, count=count
-        ):
-            served = VectorSortRetrieveCircuit.dequeue_batch(self, count)
-            fault = self.fault_injection
-            if fault is not None:
-                fault._after_dequeue(self, count=count)
-            for position, entry in enumerate(served):
-                tracer.event(
-                    "dequeue",
-                    tag=(
-                        entry.tag
-                        if fault is None
-                        else fault._reported_tag(self, entry.tag)
-                    ),
-                    address=entry.address,
-                    cycles=FIXED_OP_CYCLES,
-                    occupancy=start - position - 1,
-                    batched=True,
-                )
-        return served
-
-    def _traced_remove(self, handle: int) -> ServedTag:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        cycles_before = self.cycles
-        was_head = handle == self._head_address()
-        try:
-            removed = self._remove_core(handle)
-        except BaseException as error:
-            tracer.event(
-                "remove",
-                deltas=self.registry.deltas_since(before),
-                address=handle,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_remove(self)
-        tracer.event(
-            "remove",
-            deltas=self.registry.deltas_since(before),
-            tag=removed.tag,
-            address=(
-                handle if fault is None else fault._reported_handle(handle)
-            ),
-            head=was_head,
-            cycles=self.cycles - cycles_before,
-            occupancy=self._count,
-            free_list_depth=self._free_top,
-        )
-        return removed
-
-    def _traced_retag(self, handle: int, new_tag: int) -> int:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        cycles_before = self.cycles
-        old_tag = self.handle_tag(handle)
-        try:
-            address = VectorSortRetrieveCircuit.retag(self, handle, new_tag)
-        except BaseException as error:
-            tracer.event(
-                "retag",
-                deltas=self.registry.deltas_since(before),
-                address=handle,
-                new_tag=new_tag,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        fault = self.fault_injection
-        if fault is not None:
-            fault._after_remove(self)
-        tracer.event(
-            "retag",
-            deltas=self.registry.deltas_since(before),
-            tag=old_tag,
-            new_tag=new_tag,
-            address=(
-                handle if fault is None else fault._reported_handle(handle)
-            ),
-            new_address=address,
-            cycles=self.cycles - cycles_before,
-            occupancy=self._count,
-            free_list_depth=self._free_top,
-        )
-        return address
-
-    def _traced_clear_stale_section(self, root_literal: int) -> int:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        try:
-            purged = VectorSortRetrieveCircuit.clear_stale_section(
-                self, root_literal
-            )
-        except BaseException as error:
-            tracer.event(
-                "section_clear",
-                deltas=self.registry.deltas_since(before),
-                root_literal=root_literal,
-                failed=True,
-                error=type(error).__name__,
-            )
-            raise
-        tracer.event(
-            "section_clear",
-            deltas=self.registry.deltas_since(before),
-            root_literal=root_literal,
-            purged=purged,
-        )
-        return purged
-
-    def _traced_flush_stale_markers(self) -> None:
-        tracer = self.tracer
-        before = self.registry.snapshot_all()
-        VectorSortRetrieveCircuit.flush_stale_markers(self)
-        tracer.event(
-            "marker_flush", deltas=self.registry.deltas_since(before)
-        )
 
     # ------------------------------------------------------------------
     # verification

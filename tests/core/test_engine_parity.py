@@ -18,7 +18,7 @@ from repro.bench.perf import make_flow_ops
 from repro.core.engine import make_circuit, numpy_or_none
 from repro.core.words import PAPER_FORMAT
 from repro.fabric.fabric import ScheduleFabric
-from repro.hwsim.errors import ConfigurationError
+from repro.hwsim.errors import ConfigurationError, ProtocolError
 from repro.net.hardware_store import HardwareTagStore
 
 ENGINES = ("gate", "turbo", "vector")
@@ -262,4 +262,41 @@ def test_bool_tag_refused_before_anything_moves(mode, call):
     with pytest.raises(ConfigurationError, match="got bool"):
         BOOL_TAG_CALLS[call](circuit, handle)
     assert circuit.to_state() == before
+    circuit.check_invariants()
+
+
+#: Values Python equates with live handle 1 (``1.0 == 1``, ``True ==
+#: 1``) that still name no entry.
+BAD_HANDLES = {"float": 1.0, "bool": True}
+
+#: Each call hands such a value to an engine where a handle belongs.
+BAD_HANDLE_CALLS = {
+    "remove": lambda circuit, handle: circuit.remove(handle),
+    "retag": lambda circuit, handle: circuit.retag(handle, 40),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_HANDLES))
+@pytest.mark.parametrize("call", sorted(BAD_HANDLE_CALLS))
+@pytest.mark.parametrize(
+    "mode", ["gate", "turbo", pytest.param("vector", marks=needs_numpy)]
+)
+def test_non_integer_handle_refused_before_anything_moves(mode, call, bad):
+    """A float or a bool names no entry on any engine: the call raises
+    ProtocolError before a single access is charged, and the handle
+    observers agree that it is not live."""
+    circuit = make_circuit(PAPER_FORMAT, mode=mode, capacity=16)
+    circuit.insert(0, "a")
+    assert circuit.insert(9, "b") == 1
+    circuit.insert(30, "c")
+    before = circuit.to_state()
+    handle = BAD_HANDLES[bad]
+    with pytest.raises(ProtocolError, match="does not name a live entry"):
+        BAD_HANDLE_CALLS[call](circuit, handle)
+    assert circuit.to_state() == before
+    assert not circuit.is_live_handle(handle)
+    assert circuit.handle_tag(handle) is None
+    with pytest.raises(ProtocolError, match="does not name a live entry"):
+        circuit.handle_payload(handle)
+    assert circuit.handle_tag(1) == 9
     circuit.check_invariants()

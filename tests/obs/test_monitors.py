@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.bench.perf import _drive_batched, _drive_per_op, make_mixed_ops
+from repro.core.engine import numpy_or_none
 from repro.core.sort_retrieve import FaultInjection
 from repro.hwsim.stats import AccessStats
 from repro.net.hardware_store import HardwareTagStore
@@ -26,8 +27,22 @@ from repro.obs.tracer import Tracer
 
 SEED = 20060101
 
+#: every engine: the traced wrappers that apply the faults are shared
+ENGINES = [
+    "gate",
+    "turbo",
+    pytest.param(
+        "vector",
+        marks=pytest.mark.skipif(
+            numpy_or_none() is None, reason="numpy is not installed"
+        ),
+    ),
+]
 
-def faulted_suite(fault, *, batched, ops=1_500, warmup=200, seed=SEED):
+
+def faulted_suite(
+    fault, *, batched, ops=1_500, warmup=200, seed=SEED, mode=None
+):
     """Run a mixed soak, enabling ``fault`` only after a clean warmup.
 
     The warmup matters: monitors need reference state (a serve
@@ -41,7 +56,7 @@ def faulted_suite(fault, *, batched, ops=1_500, warmup=200, seed=SEED):
     """
     tracer = Tracer()
     store = HardwareTagStore(
-        granularity=8.0, tracer=tracer
+        granularity=8.0, mode=mode, tracer=tracer
     )
     suite = MonitorSuite.for_circuit(store.circuit, tracer=tracer)
     tracer.add_observer(suite)
@@ -91,6 +106,7 @@ FAULT_MATRIX = [
 class TestSeededFaultCoverage:
     """Each injected fault trips exactly one monitor, in both modes."""
 
+    @pytest.mark.parametrize("mode", ENGINES)
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize(
         "fault,expected",
@@ -98,9 +114,9 @@ class TestSeededFaultCoverage:
         ids=[expected for _, expected in FAULT_MATRIX],
     )
     def test_fault_caught_by_exactly_one_monitor(
-        self, fault, expected, batched
+        self, fault, expected, batched, mode
     ):
-        suite, tracer = faulted_suite(fault, batched=batched)
+        suite, tracer = faulted_suite(fault, batched=batched, mode=mode)
         counts = suite.counts_by_monitor()
         assert counts, f"fault {fault} went unnoticed"
         assert set(counts) == {expected}, (
@@ -172,7 +188,9 @@ class TestSeededFaultCoverage:
         assert clean == faulted
 
 
-def faulted_dynamic_suite(fault, *, ops=1_200, warmup=200, seed=SEED):
+def faulted_dynamic_suite(
+    fault, *, ops=1_200, warmup=200, seed=SEED, mode=None
+):
     """Like :func:`faulted_suite`, but the churn includes remove/retag.
 
     The dynamic-update monitors only judge ``remove``/``retag`` events,
@@ -181,7 +199,7 @@ def faulted_dynamic_suite(fault, *, ops=1_200, warmup=200, seed=SEED):
     state actually accumulate before the fault turns on.
     """
     tracer = Tracer()
-    store = HardwareTagStore(granularity=8.0, tracer=tracer)
+    store = HardwareTagStore(granularity=8.0, mode=mode, tracer=tracer)
     suite = MonitorSuite.for_circuit(store.circuit, tracer=tracer)
     tracer.add_observer(suite)
     rng = random.Random(seed)
@@ -231,13 +249,14 @@ DYNAMIC_FAULT_MATRIX = [
 class TestDynamicUpdateFaultCoverage:
     """The remove/retag monitors each catch exactly their fault."""
 
+    @pytest.mark.parametrize("mode", ENGINES)
     @pytest.mark.parametrize(
         "fault,expected",
         DYNAMIC_FAULT_MATRIX,
         ids=[expected for _, expected in DYNAMIC_FAULT_MATRIX],
     )
-    def test_fault_caught_by_exactly_one_monitor(self, fault, expected):
-        suite, tracer = faulted_dynamic_suite(fault)
+    def test_fault_caught_by_exactly_one_monitor(self, fault, expected, mode):
+        suite, tracer = faulted_dynamic_suite(fault, mode=mode)
         counts = suite.counts_by_monitor()
         assert counts, f"fault {fault} went unnoticed"
         assert set(counts) == {expected}, (

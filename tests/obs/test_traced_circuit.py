@@ -4,15 +4,17 @@ Covers the acceptance invariants of the observability layer: a default
 circuit emits nothing and runs the uninstrumented class hot paths; a
 traced run attributes every registry access to exactly one event; and
 the batched fast paths emit an event stream comparable event-for-event
-with per-op mode.
+with per-op mode; and the shared wrappers emit the same stream on every
+engine.
 """
 
 import pytest
 
 from repro.bench.perf import _drive_batched, _drive_per_op, make_mixed_ops
+from repro.core.engine import make_circuit, numpy_or_none
 from repro.core.sort_retrieve import TagSortRetrieveCircuit
 from repro.core.words import FIGURE_FORMAT, PAPER_FORMAT
-from repro.hwsim.errors import EmptyStructureError
+from repro.hwsim.errors import EmptyStructureError, ProtocolError
 from repro.hwsim.stats import AccessStats
 from repro.net.hardware_store import HardwareTagStore
 from repro.obs.events import OP_KINDS
@@ -267,3 +269,80 @@ class TestMixedSoakReconciliation:
 
         assert served_per_op == served_batched
         assert op_stream(batch_tracer) == op_stream(per_op_tracer)
+
+
+def drive_every_wrapper(circuit):
+    """One stream through all nine traced wrappers of a modular circuit."""
+    circuit.insert(10, "a")
+    circuit.insert(20, "b")
+    circuit.insert(300, "c")
+    circuit.insert(310, "d")
+    circuit.insert(305, "e")  # gate finds 300 through the backup path
+    batch = circuit.insert_batch([600, 40, 520], ["f", "g", "h"])
+    circuit.dequeue_min()  # 10
+    circuit.insert_and_dequeue(700, "i")  # serves 20
+    circuit.remove(circuit.peek_head().address)  # the head, 40
+    circuit.remove(batch[2])  # 520, mid-list between 300 and 600
+    circuit.retag(batch[0], 800)
+    with pytest.raises(ProtocolError):
+        circuit.insert(5)  # behind the window minimum (300)
+    circuit.clear_stale_section(0)  # the stale markers of 10 and 20
+    circuit.dequeue_batch(circuit.count)
+    circuit.flush_stale_markers()
+    circuit.insert(900, "j")
+
+
+def tracer_rows(events, *, backup=True):
+    """``(kind, name, attrs)`` per event, optionally without used_backup."""
+    rows = []
+    for event in events:
+        attrs = dict(event.attrs)
+        if not backup:
+            attrs.pop("used_backup", None)
+        rows.append((event.kind, event.name, attrs))
+    return rows
+
+
+@pytest.mark.skipif(numpy_or_none() is None, reason="numpy is not installed")
+def test_every_engine_emits_the_same_events_from_every_wrapper():
+    """The traced wrappers are shared, so gate, turbo and vector emit the
+    same ``(kind, name, attrs)`` stream event for event; only vector's
+    ``used_backup`` (its search models no backup path) and its modeled
+    deltas differ.  Gate and turbo charge identical deltas."""
+    events = {}
+    for mode in ("gate", "turbo", "vector"):
+        tracer = Tracer()
+        circuit = make_circuit(
+            PAPER_FORMAT, mode=mode, capacity=32, modular=True, tracer=tracer
+        )
+        drive_every_wrapper(circuit)
+        circuit.check_invariants()
+        events[mode] = tracer.events()
+    gate = events["gate"]
+    reached = {(event.kind, event.name) for event in gate}
+    assert reached == {
+        ("insert", "insert"),
+        ("dequeue", "dequeue"),
+        ("insert_dequeue", "insert_dequeue"),
+        ("span", "insert_batch"),
+        ("span", "dequeue_batch"),
+        ("remove", "remove"),
+        ("retag", "retag"),
+        ("section_clear", "section_clear"),
+        ("marker_flush", "marker_flush"),
+    }
+    assert [e.attrs["head"] for e in gate if e.kind == "remove"] == [
+        True,
+        False,
+    ]
+    assert [e.kind for e in gate if e.attrs.get("failed")] == ["insert"]
+    assert [e.attrs["tag"] for e in gate if e.attrs.get("used_backup")] == [
+        305
+    ]
+    assert tracer_rows(events["turbo"]) == tracer_rows(gate)
+    assert [e.deltas for e in events["turbo"]] == [e.deltas for e in gate]
+    assert tracer_rows(events["vector"], backup=False) == tracer_rows(
+        gate, backup=False
+    )
+    assert not any(e.attrs.get("used_backup") for e in events["vector"])
+
