@@ -135,6 +135,17 @@ def handle_index(handle: Any) -> Optional[int]:
         return None
 
 
+def _event_handle(handle: Any) -> Any:
+    """``handle`` as an operation and its trace event carry it.
+
+    A Python int wherever :func:`handle_index` reads one, so a numpy
+    integer handle reaches the JSONL sink as a number; anything else
+    stays as given, for the refusal to name.
+    """
+    address = handle_index(handle)
+    return handle if address is None else address
+
+
 @dataclass
 class FaultInjection:
     """Seeded faults for exercising the online invariant monitors.
@@ -582,6 +593,7 @@ class CircuitSurface:
         return served
 
     def _traced_remove(self, handle: int) -> ServedTag:
+        handle = _event_handle(handle)
         before = self.registry.snapshot_all()
         cycles_before = self.cycles
         head = self.peek_head()
@@ -609,6 +621,7 @@ class CircuitSurface:
         return removed
 
     def _traced_retag(self, handle: int, new_tag: int) -> int:
+        handle = _event_handle(handle)
         before = self.registry.snapshot_all()
         cycles_before = self.cycles
         old_tag = self.handle_tag(handle)
@@ -1093,6 +1106,7 @@ class TagSortRetrieveCircuit(CircuitSurface):
             raise ProtocolError(
                 f"handle {handle} does not name a live entry"
             )
+        handle = handle_index(handle)  # a numpy integer → a Python int
         tag = self._handles[handle]
         storage = self.storage
         translation = self.translation

@@ -51,7 +51,6 @@ never does.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import index as _as_index
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..hwsim.errors import (
@@ -112,10 +111,6 @@ class _VectorStorageView:
         return self._circuit.capacity
 
     @property
-    def modular(self) -> bool:
-        return self._circuit.modular
-
-    @property
     def count(self) -> int:
         return self._circuit._count
 
@@ -130,24 +125,12 @@ class _VectorStorageView:
         return self._circuit._count == 0
 
     @property
-    def is_full(self) -> bool:
-        return self._circuit._count >= self._circuit.capacity
-
-    @property
     def min_tag(self) -> Optional[int]:
         return self._circuit._head_tag
 
     @property
     def _head_tag(self) -> Optional[int]:
         return self._circuit._head_tag
-
-    @property
-    def _head_address(self) -> Optional[int]:
-        return self._circuit._head_address()
-
-    @property
-    def allocations_remaining_in_counter(self) -> int:
-        return self._circuit.capacity - self._circuit._counter_next
 
     def peek_head(self) -> Optional[Tuple[int, Any, int]]:
         circuit = self._circuit
@@ -1074,7 +1057,7 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             raise ProtocolError(
                 f"handle {handle} does not name a live entry"
             )
-        handle = _as_index(handle)
+        handle = handle_index(handle)  # a numpy integer → a Python int
         tag = int(self._entry_tag[handle])
         extra_cycles = 0
         predecessor: Optional[int] = None
@@ -1155,23 +1138,28 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             self._clear_tree()
 
     def clear_stale_section(self, root_literal: int) -> int:
-        """Bulk-delete the markers of one vacated section of tag space."""
+        """Bulk-delete the markers of one vacated section of tag space.
+
+        The guard is one ``count_nonzero`` over the section's bucket
+        counts and the purge one popcount over its leaf words: a
+        constant handful of array ops per clear, the software form of
+        Fig. 6's one-step reset of a root branch.
+        """
         if not 0 <= root_literal < self._branching:
             raise ConfigurationError(
                 f"root literal {root_literal} outside "
                 f"[0, {self._branching})"
             )
+        np = self._xp
         low = root_literal << self._section_bits
         high = low + (1 << self._section_bits) - 1
-        live = int(self._bucket_count[low : high + 1].sum())
-        if live:
-            segment = self._bucket_count[low : high + 1]
-            offender = low + int((segment > 0).argmax())
+        buckets = self._bucket_count[low : high + 1]
+        if np.count_nonzero(buckets):
+            offender = low + int(buckets.nonzero()[0][0])
             raise ProtocolError(
-                f"section {root_literal} still holds {live} live "
-                f"tags (e.g. {offender}); cannot clear"
+                f"section {root_literal} still holds {int(buckets.sum())} "
+                f"live tags (e.g. {offender}); cannot clear"
             )
-        np = self._xp
         first_word = low >> self._literal_bits
         last_word = high >> self._literal_bits
         if first_word == last_word:
@@ -1184,9 +1172,8 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             self._stats_tree[-1].writes += 1
         else:
             segment = self._leaf[first_word : last_word + 1]
-            purged = int(
-                popcount_array(segment, np, bits=self._branching).sum()
-            )
+            counts = popcount_array(segment, np, bits=self._branching)
+            purged = int(np.add.reduce(counts))
             segment[:] = 0
             self._stats_tree[-1].writes += int(segment.size)
         if purged:

@@ -187,16 +187,25 @@ def ffs_array(words, np):
 
 
 def popcount_array(words, np, *, bits: int = 16):
-    """Per-word population counts for an integer array.
+    """Per-word population counts (uint8) for an integer array.
 
-    SWAR (shift-and-add) over ``bits``-wide words; ``bits`` must cover
-    the widest value present (node words are 16-bit, occupancy bitmaps
-    use 64-bit words).
+    One ``np.bitwise_count`` (numpy 2.0+); older numpy builds take a
+    SWAR (shift-and-add) of about twenty array ops instead.  Words are
+    read as unsigned, so a negative signed word counts its two's
+    complement bits in uint64 lanes, as the SWAR reads it.  ``bits``
+    bounds the word width (node words are 16-bit, occupancy bitmaps use
+    64-bit words).
     """
     if bits > 64:
         raise ConfigurationError(f"popcount_array supports at most 64 bits, got {bits}")
+    lanes = np.asarray(words)
+    if lanes.dtype.kind != "u":
+        lanes = lanes.astype(np.uint64)
+    bitwise_count = getattr(np, "bitwise_count", None)
+    if bitwise_count is not None:
+        return bitwise_count(lanes)
     # Classic SWAR in uint64 lanes (top-bit-set 64-bit bitmaps included).
-    lanes = np.asarray(words).astype(np.uint64)
+    lanes = lanes.astype(np.uint64)
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
     m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -208,4 +217,4 @@ def popcount_array(words, np, *, bits: int = 16):
     while shift < 64:
         lanes = lanes + (lanes >> np.uint64(shift))
         shift *= 2
-    return (lanes & np.uint64(0x7F)).astype(np.int64)
+    return (lanes & np.uint64(0x7F)).astype(np.uint8)

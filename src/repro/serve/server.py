@@ -48,8 +48,8 @@ from .protocol import (
     decode_line,
     encode,
     error_response,
+    join_records,
     ok_response,
-    to_json,
     validate_request,
 )
 
@@ -325,8 +325,7 @@ class ServeEngine:
             self._serve_log = open(
                 self.config.serve_log, "a", encoding="utf-8"
             )
-        for record in records:
-            self._serve_log.write(to_json(record) + "\n")
+        self._serve_log.write(join_records(records, "\n") + "\n")
         self._serve_log.flush()
 
     # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ retag, and checkpoint/restore — comparing the portable half op for op
 and stripping the modeled half from snapshots before comparing them.
 """
 
+import io
 import itertools
+import json
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from repro.core.words import PAPER_FORMAT
 from repro.fabric.fabric import ScheduleFabric
 from repro.hwsim.errors import ConfigurationError, ProtocolError
 from repro.net.hardware_store import HardwareTagStore
+from repro.obs.tracer import Tracer
 
 ENGINES = ("gate", "turbo", "vector")
 PAIRS = list(itertools.combinations(ENGINES, 2))
@@ -300,3 +303,50 @@ def test_non_integer_handle_refused_before_anything_moves(mode, call, bad):
         circuit.handle_payload(handle)
     assert circuit.handle_tag(1) == 9
     circuit.check_invariants()
+
+
+#: Each call hands live handle 1 to an engine, as a plain int or as a
+#: numpy integer (what an index into a numpy array yields).
+NUMPY_HANDLE_CALLS = {
+    "remove": lambda circuit, handle: circuit.remove(handle),
+    "retag": lambda circuit, handle: circuit.retag(handle, 40),
+    "handle_tag": lambda circuit, handle: circuit.handle_tag(handle),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("call", sorted(NUMPY_HANDLE_CALLS))
+@pytest.mark.parametrize("mode", ENGINES)
+def test_numpy_integer_handle_acts_as_a_python_int(mode, call):
+    """A numpy integer handle is the int it equals, on every engine:
+    traced to a JSONL sink the call neither raises nor writes a numpy
+    value, the trace and the final state equal the plain-int call's, and
+    a removed entry's address is a Python int, traced or not."""
+    np = numpy_or_none()
+    outcomes = []
+    runs = ((1, True), (np.int64(1), True), (np.int64(1), False))
+    for handle, traced in runs:
+        circuit = make_circuit(PAPER_FORMAT, mode=mode, capacity=16)
+        circuit.insert(0, "a")
+        circuit.insert(9, "b")
+        circuit.insert(30, "c")
+        sink = io.StringIO()
+        if traced:
+            circuit.attach_tracer(Tracer(sink=sink))
+        result = NUMPY_HANDLE_CALLS[call](circuit, handle)
+        if call == "remove":
+            assert type(result.address) is int
+        else:
+            assert type(result) is int
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        for event in events:
+            assert event["attrs"]["address"] == 1
+        assert len(events) == (traced and call != "handle_tag")
+        circuit.check_invariants()
+        outcomes.append((result, circuit.to_state(), sink.getvalue()))
+    (int_result, int_state, int_trace), (np_result, np_state, np_trace), (
+        untraced_result, untraced_state, _,
+    ) = outcomes
+    assert np_result == int_result == untraced_result
+    assert np_state == int_state == untraced_state
+    assert np_trace == int_trace

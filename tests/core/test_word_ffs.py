@@ -81,27 +81,55 @@ def test_ffs_array_matches_scalar(words):
     assert out.tolist() == [ffs_word(word) for word in words]
 
 
+class _NumpyBefore2:
+    """numpy as a build older than 2.0 shows it: no ``bitwise_count``."""
+
+    def __getattr__(self, name):
+        if name == "bitwise_count":
+            raise AttributeError(name)
+        return getattr(np, name)
+
+
+#: numpy as ``popcount_array`` meets it on each of its two paths: one
+#: ``bitwise_count``, and the SWAR fallback
+POPCOUNT_PATHS = (np, _NumpyBefore2()) if np is not None else ()
+
+
 @needs_numpy
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=64))
 def test_popcount_array_matches_scalar_including_top_bit(words):
     # Build the uint64 array explicitly so top-bit-set bitmap words are
     # exercised (plain asarray would overflow int64 on them).
     lanes = np.array(words, dtype=np.uint64)
-    out = popcount_array(lanes, np, bits=64)
-    assert out.tolist() == [popcount_word(word) for word in words]
+    for xp in POPCOUNT_PATHS:
+        out = popcount_array(lanes, xp, bits=64)
+        assert out.dtype == np.uint8
+        assert out.tolist() == [popcount_word(word) for word in words]
 
 
 @needs_numpy
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 16) - 1), min_size=1, max_size=64))
 def test_popcount_array_node_width_matches_scalar(words):
-    out = popcount_array(words, np)
-    assert out.tolist() == [popcount_word(word) for word in words]
+    for xp in POPCOUNT_PATHS:
+        out = popcount_array(words, xp)
+        assert out.tolist() == [popcount_word(word) for word in words]
+        leaf = popcount_array(np.array(words, dtype=np.uint16), xp)
+        assert leaf.tolist() == out.tolist()
+
+
+@needs_numpy
+@given(st.lists(st.integers(min_value=-(1 << 63), max_value=-1), min_size=1, max_size=16))
+def test_popcount_array_reads_signed_words_as_unsigned(words):
+    expected = [popcount_word(word & ((1 << 64) - 1)) for word in words]
+    for xp in POPCOUNT_PATHS:
+        assert popcount_array(words, xp, bits=64).tolist() == expected
 
 
 @needs_numpy
 def test_popcount_array_rejects_wide_words():
-    with pytest.raises(ConfigurationError):
-        popcount_array([1], np, bits=65)
+    for xp in POPCOUNT_PATHS:
+        with pytest.raises(ConfigurationError):
+            popcount_array([1], xp, bits=65)
 
 
 # ----------------------------------------------------------------------

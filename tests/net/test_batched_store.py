@@ -12,8 +12,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import numpy_or_none
 from repro.core.words import PAPER_FORMAT
 from repro.net.hardware_store import HardwareTagStore
+
+#: every engine this environment can build (vector needs numpy)
+ENGINES = ("gate", "turbo") + (
+    ("vector",) if numpy_or_none() is not None else ()
+)
 
 
 def coalesce(ops):
@@ -71,13 +77,21 @@ def wfq_like_ops(seed, count=500):
     return ops
 
 
+#: the seeds below 40 whose 2,000-op :func:`wfq_like_ops` stream laps
+#: the tag space inside one busy period, so the wrap manager clears
+#: sections that still hold stale markers (no 500-op stream does, nor do
+#: the other seeds' 2,000-op streams)
+PURGING_SEEDS = (3, 4, 11, 13, 18, 22, 29, 30, 31, 33, 34, 35)
+
+
 class TestBatchedParity:
     def test_seeded_traces_full_state_parity(self):
-        for seed in range(12):
-            ops = wfq_like_ops(seed)
+        for seed in PURGING_SEEDS:
+            ops = wfq_like_ops(seed, count=2000)
             reference = HardwareTagStore(granularity=1.0)
             served_ref = drive_per_op(reference, ops)
-            for mode in ("gate", "turbo"):
+            assert reference.markers_purged > 0, seed
+            for mode in ENGINES:
                 store = HardwareTagStore(granularity=1.0, mode=mode)
                 served = drive_batched(store, ops)
                 assert served == served_ref

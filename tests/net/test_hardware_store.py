@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.core.engine import numpy_or_none
 from repro.core.words import PAPER_FORMAT, WordFormat
 from repro.hwsim.errors import ConfigurationError, ProtocolError
 from repro.net.hardware_store import HardwareTagStore
+
+#: every engine this environment can build (vector needs numpy)
+ENGINES = ("gate", "turbo") + (
+    ("vector",) if numpy_or_none() is not None else ()
+)
 
 
 class TestQuantization:
@@ -43,20 +49,27 @@ class TestQuantization:
 
 class TestWrapManagement:
     def test_sections_cleared_on_lap(self):
-        store = HardwareTagStore(
-            fmt=PAPER_FORMAT, granularity=1.0, capacity=16
-        )
-        tag = 0.0
-        served = 0
-        for step in range(3000):
-            tag += 5.0
-            store.push(tag, step)
-            if len(store) > 4:  # keep a standing backlog so the busy
-                store.pop_min()  # period (and its laps) never resets
-                served += 1
-        assert store.sections_cleared > 0
-        assert store.markers_purged > 0
-        store.circuit.check_invariants()
+        """Every engine laps the tag space as gate does: the same served
+        order, sections cleared and markers purged, and sound state."""
+        runs = {}
+        for mode in ENGINES:
+            store = HardwareTagStore(
+                fmt=PAPER_FORMAT, granularity=1.0, capacity=16, mode=mode
+            )
+            tag = 0.0
+            served = []
+            for step in range(3000):
+                tag += 5.0
+                store.push(tag, step)
+                if len(store) > 4:  # keep a standing backlog so the busy
+                    served.append(store.pop_min())  # period never resets
+            store.circuit.check_invariants()
+            runs[mode] = (served, store.sections_cleared, store.markers_purged)
+        _, sections_cleared, markers_purged = runs["gate"]
+        assert sections_cleared > 0
+        assert markers_purged > 0
+        for mode in ENGINES:
+            assert runs[mode] == runs["gate"], mode
 
     def test_epoch_reset_on_drain(self):
         store = HardwareTagStore(granularity=1.0, capacity=8)
