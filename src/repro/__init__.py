@@ -11,9 +11,17 @@ Packages:
   family, plus the single-link simulator.
 * :mod:`repro.traffic` — packet-size models, arrival processes, scenarios.
 * :mod:`repro.net` — the full Fig. 1 scheduler system and QoS metrics.
+* :mod:`repro.fabric` — the sharded scheduling fabric over many circuits.
+* :mod:`repro.serve` — the always-on scheduling server
+  (``python -m repro serve``).
+* :mod:`repro.obs` — opt-in telemetry: tracing, instruments, invariant
+  monitors, the live plane.
 * :mod:`repro.silicon` — the Table II area/power/timing estimator.
 * :mod:`repro.analysis` — complexity measurement, distribution profiling,
   sweep utilities.
+
+Each package exports its public names lazily (:mod:`repro._exports`):
+importing one module loads only what that module imports.
 
 Quick start::
 
@@ -26,8 +34,12 @@ Quick start::
     served = circuit.dequeue_min()        # tag 15, in fixed time
 """
 
+from ._exports import lazy_exports
+
 __version__ = "1.0.0"
 
-from .core import TagSortRetrieveCircuit  # noqa: F401  (primary entry point)
-
-__all__ = ["TagSortRetrieveCircuit", "__version__"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    # the primary entry point
+    "core.sort_retrieve": ("TagSortRetrieveCircuit",),
+})
+__all__ += ["__version__"]

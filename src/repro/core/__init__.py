@@ -11,72 +11,39 @@ Public surface:
 * :mod:`repro.core.sizing` — eqs. (2)/(3) storage budgets.
 """
 
-from .pipeline import (
-    OPERATION_LATENCY_CYCLES,
-    STAGE_CYCLES,
-    PipelinedSortRetrieve,
-)
-from .matching import (
-    ALL_MATCHERS,
-    DEFAULT_MATCHER,
-    BlockLookaheadMatcher,
-    LookaheadMatcher,
-    MatchingCircuit,
-    MatchResult,
-    RippleMatcher,
-    SelectLookaheadMatcher,
-    SkipLookaheadMatcher,
-    reference_search,
-)
-from .sizing import (
-    TreeBudget,
-    budget_for,
-    level_memory_bits,
-    mixed_width_tree_bits,
-    sweep_configurations,
-    total_tree_bits,
-    translation_table_entries,
-    worst_case_node_searches,
-)
-from .sort_retrieve import FIXED_OP_CYCLES, ServedTag, TagSortRetrieveCircuit
-from .tag_storage import CYCLES_PER_OPERATION, Link, TagStorageMemory
-from .translation import TranslationTable
-from .tree import MultiBitTree, SearchOutcome, TreeInvariantError
-from .words import FIGURE_FORMAT, PAPER_FORMAT, WordFormat
+from .._exports import lazy_exports
 
-__all__ = [
-    "OPERATION_LATENCY_CYCLES",
-    "STAGE_CYCLES",
-    "PipelinedSortRetrieve",
-    "ALL_MATCHERS",
-    "DEFAULT_MATCHER",
-    "BlockLookaheadMatcher",
-    "LookaheadMatcher",
-    "MatchingCircuit",
-    "MatchResult",
-    "RippleMatcher",
-    "SelectLookaheadMatcher",
-    "SkipLookaheadMatcher",
-    "reference_search",
-    "TreeBudget",
-    "budget_for",
-    "level_memory_bits",
-    "mixed_width_tree_bits",
-    "sweep_configurations",
-    "total_tree_bits",
-    "translation_table_entries",
-    "worst_case_node_searches",
-    "FIXED_OP_CYCLES",
-    "ServedTag",
-    "TagSortRetrieveCircuit",
-    "CYCLES_PER_OPERATION",
-    "Link",
-    "TagStorageMemory",
-    "TranslationTable",
-    "MultiBitTree",
-    "SearchOutcome",
-    "TreeInvariantError",
-    "FIGURE_FORMAT",
-    "PAPER_FORMAT",
-    "WordFormat",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "pipeline": (
+        "OPERATION_LATENCY_CYCLES",
+        "STAGE_CYCLES",
+        "PipelinedSortRetrieve",
+    ),
+    "matching": (
+        "ALL_MATCHERS",
+        "DEFAULT_MATCHER",
+        "BlockLookaheadMatcher",
+        "LookaheadMatcher",
+        "MatchingCircuit",
+        "MatchResult",
+        "RippleMatcher",
+        "SelectLookaheadMatcher",
+        "SkipLookaheadMatcher",
+        "reference_search",
+    ),
+    "sizing": (
+        "TreeBudget",
+        "budget_for",
+        "level_memory_bits",
+        "mixed_width_tree_bits",
+        "sweep_configurations",
+        "total_tree_bits",
+        "translation_table_entries",
+        "worst_case_node_searches",
+    ),
+    "sort_retrieve": ("FIXED_OP_CYCLES", "ServedTag", "TagSortRetrieveCircuit"),
+    "tag_storage": ("CYCLES_PER_OPERATION", "Link", "TagStorageMemory"),
+    "translation": ("TranslationTable",),
+    "tree": ("MultiBitTree", "SearchOutcome", "TreeInvariantError"),
+    "words": ("FIGURE_FORMAT", "PAPER_FORMAT", "WordFormat"),
+})

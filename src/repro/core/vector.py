@@ -214,6 +214,10 @@ class VectorSortRetrieveCircuit(CircuitSurface):
         self._leaf = self._levels_arr[-1]
         self._tree_count = 0
         self._upper_dirty = False
+        #: the Fig. 6 root register, kept eagerly (the root level array
+        #: rebuilds lazily): bit s is set while section s may hold a
+        #: leaf marker, so clearing a clean section costs no array op
+        self._root_word = 0
         self._plane: Optional["VectorPlane"] = None
 
         # -- translation table (includes stale entries, like gate) -------
@@ -413,6 +417,7 @@ class VectorSortRetrieveCircuit(CircuitSurface):
         self._leaf[word_index] = word | (1 << bit)
         self._tree_count += 1
         self._upper_dirty = True
+        self._root_word |= 1 << (tag >> self._section_bits)
         return True
 
     def _clear_leaf_marker(self, tag: int) -> None:
@@ -429,6 +434,15 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             level.fill(0)
         self._tree_count = 0
         self._upper_dirty = False
+        self._root_word = 0
+
+    def _marked_sections(self) -> int:
+        """The root word rebuilt from the leaf words (restore path)."""
+        np = self._xp
+        if len(self._levels_arr) == 1:  # the leaf word is the root
+            return int(self._leaf[0])
+        marked = np.flatnonzero(self._leaf.reshape(self._branching, -1).any(1))
+        return sum(1 << section for section in marked.tolist())
 
     def _rebuild_upper(self) -> None:
         """Repack the upper tree levels from the leaf words.
@@ -533,6 +547,7 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             leaf[word_index] = word | bit
             self._tree_count += 1
             self._upper_dirty = True
+            self._root_word |= 1 << (tag >> self._section_bits)
         self._trans[tag] = address
         self._count = count + 1
         if head is None or (not self.modular and tag < head):
@@ -841,6 +856,10 @@ class VectorSortRetrieveCircuit(CircuitSurface):
         if after != before:
             self._tree_count += after - before
             self._upper_dirty = True
+            sections = (run_tags >> self._section_bits).astype(np.uint64)
+            self._root_word |= int(
+                np.bitwise_or.reduce(np.left_shift(np.uint64(1), sections))
+            )
         self._trans[run_tags] = run_tails
 
         self._count += count
@@ -1140,10 +1159,13 @@ class VectorSortRetrieveCircuit(CircuitSurface):
     def clear_stale_section(self, root_literal: int) -> int:
         """Bulk-delete the markers of one vacated section of tag space.
 
-        The guard is one ``count_nonzero`` over the section's bucket
-        counts and the purge one popcount over its leaf words: a
-        constant handful of array ops per clear, the software form of
-        Fig. 6's one-step reset of a root branch.
+        A section whose root bit is clear holds no marker and so no live
+        tag: the clear returns 0 at once.  Otherwise the guard is one
+        ``count_nonzero`` over the section's bucket counts and the purge
+        one popcount over its leaf words: a constant handful of array
+        ops per clear, the software form of Fig. 6's one-step reset of a
+        root branch.  Either way the model charges one leaf write per
+        section word.
         """
         if not 0 <= root_literal < self._branching:
             raise ConfigurationError(
@@ -1153,6 +1175,12 @@ class VectorSortRetrieveCircuit(CircuitSurface):
         np = self._xp
         low = root_literal << self._section_bits
         high = low + (1 << self._section_bits) - 1
+        first_word = low >> self._literal_bits
+        last_word = high >> self._literal_bits
+        section_bit = 1 << root_literal
+        if not self._root_word & section_bit:
+            self._stats_tree[-1].writes += last_word - first_word + 1
+            return 0
         buckets = self._bucket_count[low : high + 1]
         if np.count_nonzero(buckets):
             offender = low + int(buckets.nonzero()[0][0])
@@ -1160,8 +1188,6 @@ class VectorSortRetrieveCircuit(CircuitSurface):
                 f"section {root_literal} still holds {int(buckets.sum())} "
                 f"live tags (e.g. {offender}); cannot clear"
             )
-        first_word = low >> self._literal_bits
-        last_word = high >> self._literal_bits
         if first_word == last_word:
             mask = ((1 << (high - low + 1)) - 1) << (
                 low & (self._branching - 1)
@@ -1176,6 +1202,7 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             purged = int(np.add.reduce(counts))
             segment[:] = 0
             self._stats_tree[-1].writes += int(segment.size)
+        self._root_word &= ~section_bit
         if purged:
             self._tree_count -= purged
             self._upper_dirty = True
@@ -1351,6 +1378,7 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             level[:] = nodes
         self._tree_count = tree["count"]
         self._upper_dirty = False
+        self._root_word = self._marked_sections()
         for stats, snapshot in zip(self._stats_tree, tree["stats"]):
             stats.reads = snapshot["reads"]
             stats.writes = snapshot["writes"]
@@ -1447,6 +1475,12 @@ class VectorSortRetrieveCircuit(CircuitSurface):
             raise ProtocolError(
                 f"marker count {self._tree_count} != marked bits "
                 f"{len(marked)}"
+            )
+        unflagged = self._marked_sections() & ~self._root_word
+        if unflagged:
+            raise ProtocolError(
+                f"root word {self._root_word:#x} misses marked sections "
+                f"{unflagged:#x}"
             )
         stored_values = {tag for tag, _ in walked}
         for value in stored_values:

@@ -1,63 +1,37 @@
 """Scheduler-system integration (paper Fig. 1) and QoS metrics."""
 
-from .admission import (
-    AdmissionController,
-    AdmissionDecision,
-    ServiceLevelAgreement,
-)
-from .buffer import SharedPacketBuffer
-from .dual_circuit import HardwareWF2QPlusSystem
-from .fabric_system import FabricSchedulerSystem
-from .hardware_store import HardwareTagStore
-from .metrics import (
-    DelayStats,
-    gps_lag,
-    gps_lead,
-    jain_index,
-    max_gps_lag,
-    max_gps_lead,
-    out_of_order_service,
-    per_flow_delays,
-    pg_bound_violations,
-    throughput_shares,
-    weighted_jain_index,
-    worst_work_lead,
-)
-from .multihop import (
-    EndToEndRecord,
-    MultiHopNetwork,
-    e2e_delay_bound,
-    worst_flow_delay,
-)
-from .scheduler_system import DEFAULT_CLOCK_HZ, HardwareWFQSystem
-from .session_table import SessionRecord, SessionStateTable
+from .._exports import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ServiceLevelAgreement",
-    "SharedPacketBuffer",
-    "HardwareWF2QPlusSystem",
-    "FabricSchedulerSystem",
-    "HardwareTagStore",
-    "DelayStats",
-    "gps_lag",
-    "gps_lead",
-    "max_gps_lead",
-    "jain_index",
-    "max_gps_lag",
-    "out_of_order_service",
-    "per_flow_delays",
-    "pg_bound_violations",
-    "throughput_shares",
-    "weighted_jain_index",
-    "worst_work_lead",
-    "DEFAULT_CLOCK_HZ",
-    "HardwareWFQSystem",
-    "EndToEndRecord",
-    "MultiHopNetwork",
-    "e2e_delay_bound",
-    "worst_flow_delay",
-    "SessionRecord",
-    "SessionStateTable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "admission": (
+        "AdmissionController",
+        "AdmissionDecision",
+        "ServiceLevelAgreement",
+    ),
+    "buffer": ("SharedPacketBuffer",),
+    "dual_circuit": ("HardwareWF2QPlusSystem",),
+    "fabric_system": ("FabricSchedulerSystem",),
+    "hardware_store": ("HardwareTagStore",),
+    "metrics": (
+        "DelayStats",
+        "gps_lag",
+        "gps_lead",
+        "jain_index",
+        "max_gps_lag",
+        "max_gps_lead",
+        "out_of_order_service",
+        "per_flow_delays",
+        "pg_bound_violations",
+        "throughput_shares",
+        "weighted_jain_index",
+        "worst_work_lead",
+    ),
+    "multihop": (
+        "EndToEndRecord",
+        "MultiHopNetwork",
+        "e2e_delay_bound",
+        "worst_flow_delay",
+    ),
+    "scheduler_system": ("DEFAULT_CLOCK_HZ", "HardwareWFQSystem"),
+    "session_table": ("SessionRecord", "SessionStateTable"),
+})

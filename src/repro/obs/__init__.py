@@ -30,10 +30,14 @@ The software equivalent of logic-analyzer probes on the paper's circuit:
 * :mod:`repro.obs.flight` — the :class:`FlightRecorder` (auto-dumped
   context window around the first invariant violation) and the
   :class:`StallWatchdog`;
+* :mod:`repro.obs.harness` — the run harness every runner shares;
 * :mod:`repro.obs.runner` / :mod:`repro.obs.analyze` — the drivers
   behind ``python -m repro obs`` and ``python -m repro analyze``
-  (imported lazily by the CLI; not re-exported here to keep this
-  package importable from :mod:`repro.core`).
+  (command entry points, not re-exported here).
+
+Every name below loads its submodule on first use, so a module that
+needs only :data:`NULL_TRACER` imports :mod:`repro.obs.tracer` and its
+schema, not the live plane or the monitors.
 
 Attach a tracer with
 :meth:`repro.core.sort_retrieve.TagSortRetrieveCircuit.attach_tracer`
@@ -42,94 +46,46 @@ or by passing ``tracer=`` to the circuit, the
 :class:`~repro.net.scheduler_system.HardwareWFQSystem`.
 """
 
-from .diff import TraceCompatibilityError, TraceDiff, diff_traces
-from .events import (
-    FABRIC_KINDS,
-    FOOTER_KIND,
-    HEADER_KIND,
-    INVARIANT_KIND,
-    LIVE_KINDS,
-    MAINTENANCE_KINDS,
-    OP_KINDS,
-    SLO_KIND,
-    SPAN_KIND,
-    TRACE_SCHEMA,
-    WATCHDOG_KIND,
-    TraceEvent,
-    build_trace_header,
-)
-from .exporters import (
-    TraceDocument,
-    prometheus_snapshot,
-    read_jsonl,
-    read_trace,
-    run_report,
-    sanitize_metric_name,
-    write_jsonl,
-)
-from .flight import FlightRecorder, StallWatchdog
-from .instruments import Counter, Gauge, Histogram, InstrumentSet
-from .live import LivePlane, MetricsServer, WindowedCollector
-from .monitors import MonitorConfig, MonitorSuite, Violation, check_trace
-from .probes import StandardProbes
-from .profiler import Profile, profile_events
-from .slo import (
-    FairnessAuditor,
-    RankInversionCounter,
-    ServeStreamAuditor,
-    SloRule,
-)
-from .timeline import build_timeline, write_timeline
-from .tracer import NULL_TRACER, ComponentTracer, NullTracer, Tracer
+from .._exports import lazy_exports
 
-__all__ = [
-    "ComponentTracer",
-    "Counter",
-    "FABRIC_KINDS",
-    "FOOTER_KIND",
-    "FairnessAuditor",
-    "FlightRecorder",
-    "Gauge",
-    "HEADER_KIND",
-    "Histogram",
-    "INVARIANT_KIND",
-    "InstrumentSet",
-    "LIVE_KINDS",
-    "LivePlane",
-    "MAINTENANCE_KINDS",
-    "MetricsServer",
-    "MonitorConfig",
-    "MonitorSuite",
-    "NULL_TRACER",
-    "NullTracer",
-    "OP_KINDS",
-    "Profile",
-    "RankInversionCounter",
-    "SLO_KIND",
-    "SPAN_KIND",
-    "ServeStreamAuditor",
-    "SloRule",
-    "StallWatchdog",
-    "StandardProbes",
-    "TRACE_SCHEMA",
-    "TraceCompatibilityError",
-    "TraceDiff",
-    "TraceDocument",
-    "TraceEvent",
-    "Tracer",
-    "Violation",
-    "WATCHDOG_KIND",
-    "WindowedCollector",
-    "build_timeline",
-    "build_trace_header",
-    "check_trace",
-    "diff_traces",
-    "prometheus_snapshot",
-    "profile_events",
-    "read_jsonl",
-    "read_trace",
-    "run_report",
-    "sanitize_metric_name",
-    "write_jsonl",
-    "write_timeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "diff": ("TraceCompatibilityError", "TraceDiff", "diff_traces"),
+    "events": (
+        "FABRIC_KINDS",
+        "FOOTER_KIND",
+        "HEADER_KIND",
+        "INVARIANT_KIND",
+        "LIVE_KINDS",
+        "MAINTENANCE_KINDS",
+        "OP_KINDS",
+        "SLO_KIND",
+        "SPAN_KIND",
+        "TRACE_SCHEMA",
+        "WATCHDOG_KIND",
+        "TraceEvent",
+        "build_trace_header",
+    ),
+    "exporters": (
+        "TraceDocument",
+        "prometheus_snapshot",
+        "read_jsonl",
+        "read_trace",
+        "run_report",
+        "sanitize_metric_name",
+        "write_jsonl",
+    ),
+    "flight": ("FlightRecorder", "StallWatchdog"),
+    "instruments": ("Counter", "Gauge", "Histogram", "InstrumentSet"),
+    "live": ("LivePlane", "MetricsServer", "WindowedCollector"),
+    "monitors": ("MonitorConfig", "MonitorSuite", "Violation", "check_trace"),
+    "probes": ("StandardProbes",),
+    "profiler": ("Profile", "profile_events"),
+    "slo": (
+        "FairnessAuditor",
+        "RankInversionCounter",
+        "ServeStreamAuditor",
+        "SloRule",
+    ),
+    "timeline": ("build_timeline", "write_timeline"),
+    "tracer": ("NULL_TRACER", "ComponentTracer", "NullTracer", "Tracer"),
+})

@@ -31,19 +31,19 @@ import json
 import sys
 import time
 from typing import (
+    TYPE_CHECKING,
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from ..core.engine import VALID_MODES
 from ..hwsim.stats import AccessStats
-from .events import build_trace_header
-from .exporters import prometheus_snapshot, run_report
-from .flight import FlightRecorder
-from .live import LivePlane
-from .monitors import MonitorConfig, MonitorSuite
-from .probes import StandardProbes
-from .slo import ServeStreamAuditor, SloRule
-from .tracer import Tracer
+
+if TYPE_CHECKING:  # built only by a traced run, and imported there
+    from .flight import FlightRecorder
+    from .live import LivePlane
+    from .monitors import MonitorSuite
+    from .slo import ServeStreamAuditor
+    from .tracer import Tracer
 
 #: The shared flags, each declared once: option -> (the soak keyword
 #: argument it feeds, or None for the CLI's own flags; argparse options).
@@ -203,6 +203,12 @@ class RunHarness:
         self._serve_ready = serve_ready
         if not traced:
             return
+        # Each component is imported by the branch that builds it, so an
+        # untraced run (a plain ``repro serve``) loads none of them.
+        from .events import build_trace_header
+        from .probes import StandardProbes
+        from .tracer import Tracer
+
         probes = StandardProbes()
         self.instruments = probes.instruments
         tracer = self.tracer = Tracer(
@@ -211,12 +217,20 @@ class RunHarness:
         tracer.write_header(build_trace_header(**header))
         circuit = self.stores[0].circuit
         if monitor:
+            from .monitors import MonitorSuite
+
             self.monitors = MonitorSuite.for_circuit(circuit, tracer=tracer)
             tracer.add_observer(self.monitors)
         if flight_path is not None:
+            from .flight import FlightRecorder
+
             self.flight = FlightRecorder(flight_path, header=tracer.header)
             self.flight.attach(tracer)
         if serve_port is not None:
+            from .live import LivePlane
+            from .monitors import MonitorConfig
+            from .slo import ServeStreamAuditor, SloRule
+
             config = MonitorConfig.from_circuit_config(circuit.describe())
             shard_rules = ()
             if shard_slo_inversions is not None:
@@ -447,6 +461,8 @@ class HarnessRun:
 
     def metrics_text(self) -> str:
         """Prometheus exposition: run instruments plus live rollups."""
+        from .exporters import prometheus_snapshot
+
         text = prometheus_snapshot(self.instruments)
         plane = self.harness.plane
         if plane is not None:
@@ -455,6 +471,8 @@ class HarnessRun:
 
     def _soak_report(self, title: str, notes: Iterable[str] = ()) -> str:
         """A reconciling soak's text report: workload notes first."""
+        from .exporters import run_report
+
         return run_report(
             title=title,
             totals=self.registry_totals,
@@ -501,6 +519,8 @@ def finish(args, run, checks: Sequence[Tuple[bool, str]] = ()) -> int:
     else:
         sys.stdout.write(report)
     if getattr(args, "metrics", None):
+        from .exporters import prometheus_snapshot
+
         with open(args.metrics, "w", encoding="utf-8") as handle:
             handle.write(prometheus_snapshot(run.instruments))
     failures = [message for passed, message in checks if not passed]

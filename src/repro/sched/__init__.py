@@ -5,48 +5,24 @@ the fair-queueing family (WFQ, WF²Q, WF²Q+, SCFQ, FBFQ), the round-robin
 family (WRR, DRR, MDRR, CBQ, SRR), and the single-link simulation loop.
 """
 
-from .base import PacketScheduler, SimulationResult, simulate
-from .cbq import CBQScheduler
-from .drr import DRRScheduler
-from .fbfq import FBFQScheduler
-from .flow import Flow, FlowTable
-from .gps import GPSFluidSimulator, GpsDeparture
-from .hpfq import HPFQScheduler
-from .mdrr import MDRRScheduler
-from .packet import Packet
-from .scfq import SCFQScheduler
-from .srr import SRRScheduler
-from .tag_computation import FixedPointTags, FixedPointVirtualClock
-from .virtual_time import TaggedArrival, VirtualClock
-from .wf2q import WF2QScheduler
-from .wf2qplus import WF2QPlusScheduler
-from .wfq import HeapTagStore, TagStore, WFQScheduler
-from .wrr import WRRScheduler
+from .._exports import lazy_exports
 
-__all__ = [
-    "PacketScheduler",
-    "SimulationResult",
-    "simulate",
-    "CBQScheduler",
-    "DRRScheduler",
-    "FBFQScheduler",
-    "Flow",
-    "FlowTable",
-    "GPSFluidSimulator",
-    "GpsDeparture",
-    "HPFQScheduler",
-    "MDRRScheduler",
-    "Packet",
-    "SCFQScheduler",
-    "SRRScheduler",
-    "FixedPointTags",
-    "FixedPointVirtualClock",
-    "TaggedArrival",
-    "VirtualClock",
-    "WF2QScheduler",
-    "WF2QPlusScheduler",
-    "HeapTagStore",
-    "TagStore",
-    "WFQScheduler",
-    "WRRScheduler",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("PacketScheduler", "SimulationResult", "simulate"),
+    "cbq": ("CBQScheduler",),
+    "drr": ("DRRScheduler",),
+    "fbfq": ("FBFQScheduler",),
+    "flow": ("Flow", "FlowTable"),
+    "gps": ("GPSFluidSimulator", "GpsDeparture"),
+    "hpfq": ("HPFQScheduler",),
+    "mdrr": ("MDRRScheduler",),
+    "packet": ("Packet",),
+    "scfq": ("SCFQScheduler",),
+    "srr": ("SRRScheduler",),
+    "tag_computation": ("FixedPointTags", "FixedPointVirtualClock"),
+    "virtual_time": ("TaggedArrival", "VirtualClock"),
+    "wf2q": ("WF2QScheduler",),
+    "wf2qplus": ("WF2QPlusScheduler",),
+    "wfq": ("HeapTagStore", "TagStore", "WFQScheduler"),
+    "wrr": ("WRRScheduler",),
+})

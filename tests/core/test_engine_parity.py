@@ -17,8 +17,8 @@ import random
 import pytest
 
 from repro.bench.perf import make_flow_ops
-from repro.core.engine import make_circuit, numpy_or_none
-from repro.core.words import PAPER_FORMAT
+from repro.core.engine import circuit_from_state, make_circuit, numpy_or_none
+from repro.core.words import PAPER_FORMAT, WordFormat
 from repro.fabric.fabric import ScheduleFabric
 from repro.hwsim.errors import ConfigurationError, ProtocolError
 from repro.net.hardware_store import HardwareTagStore
@@ -350,3 +350,95 @@ def test_numpy_integer_handle_acts_as_a_python_int(mode, call):
     assert np_result == int_result == untraced_result
     assert np_state == int_state == untraced_state
     assert np_trace == int_trace
+
+
+SECTIONS = WordFormat(levels=3, literal_bits=2)  # 64 values, 4 sections
+
+
+def _section_leaf_writes(circuit):
+    return circuit.registry[f"tree_level_{SECTIONS.levels - 1}"].writes
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", [3, 17])
+def test_section_clears_agree_with_gate_on_a_wrapping_stream(seed):
+    """A clear frontier sweeps ahead of the inserts, as the hardware
+    store's does.  The vector root word skips clean sections; every
+    clear returns what gate's returns, and a clean clear charges the
+    section's leaf words like a scanning one."""
+    rng = random.Random(seed)
+    gate = make_circuit(SECTIONS, mode="gate", capacity=32, modular=True)
+    vector = make_circuit(SECTIONS, mode="vector", capacity=32, modular=True)
+    span = SECTIONS.capacity // 4
+    words_per_section = 4 ** (SECTIONS.levels - 2)
+    vnow = frontier = clean = 0
+    for step in range(3000):
+        if gate.count and (gate.count >= 12 or rng.random() < 0.45):
+            assert gate.dequeue_min() == vector.dequeue_min()
+            continue
+        arrivals = [vnow + rng.randrange(4)]
+        if rng.random() < 0.3:  # a batch of up to four
+            for _ in range(rng.randrange(3)):
+                arrivals.append(arrivals[-1] + rng.randrange(4))
+        vnow = arrivals[-1]
+        tags = [arrival % SECTIONS.capacity for arrival in arrivals]
+        if gate.count:
+            lag = (tags[-1] - gate.peek_min()) % SECTIONS.capacity
+            if lag >= SECTIONS.capacity // 2:
+                continue
+            while frontier < vnow // span:
+                frontier += 1
+                before = _section_leaf_writes(vector)
+                purged = vector.clear_stale_section(frontier % 4)
+                assert purged == gate.clear_stale_section(frontier % 4)
+                assert _section_leaf_writes(vector) - before == (
+                    words_per_section
+                )
+                clean += purged == 0
+        else:
+            frontier = vnow // span  # the insert wipes the tree
+        if len(tags) == 1:
+            assert gate.insert(tags[0]) == vector.insert(tags[0])
+        else:
+            payloads = [None] * len(tags)
+            assert gate.insert_batch(tags, payloads) == (
+                vector.insert_batch(tags, payloads)
+            )
+            vector.check_invariants()  # the batch flagged its sections
+        if step % 100 == 0:
+            vector.check_invariants()
+            vector = circuit_from_state(vector.to_state(), mode="vector")
+    vector.check_invariants()
+    assert gate.to_state()["tree"]["nodes"][-1] == (
+        vector.to_state()["tree"]["nodes"][-1]
+    )
+    assert clean  # the stream did reach the skipped path
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "fmt, tags, served, stale",
+    [
+        # section 0 (values 0-15) keeps the stale markers of 2 and 5
+        (SECTIONS, (2, 5, 20, 30), 2, 0),
+        # one level: the leaf word is the root, each value a section
+        (WordFormat(levels=1, literal_bits=3), (2, 5), 1, 2),
+    ],
+)
+def test_restored_stale_section_is_cleared_like_gate(fmt, tags, served, stale):
+    """A snapshot whose section holds only stale markers restores into a
+    vector circuit whose clear of that section purges them, as gate's
+    does."""
+    gate = make_circuit(fmt, mode="gate", capacity=8, modular=True)
+    for tag in tags:
+        gate.insert(tag)
+    for _ in range(served):
+        gate.dequeue_min()
+    vector = circuit_from_state(gate.to_state(), mode="vector")
+    purged = gate.clear_stale_section(stale)
+    assert purged == served
+    assert vector.clear_stale_section(stale) == purged
+    vector.check_invariants()
+    assert vector.to_state()["tree"]["nodes"][-1] == (
+        gate.to_state()["tree"]["nodes"][-1]
+    )
