@@ -2,14 +2,16 @@
 
 Five structurally distinct implementations of the same node-search
 function, plus a golden reference model.  :data:`ALL_MATCHERS` drives the
-Fig. 7 / Fig. 8 sweeps.
+Fig. 7 / Fig. 8 sweeps.  The gate-level netlist names load on first use
+(PEP 562): only the structural checks build netlists, and every circuit
+import would otherwise compile them.
 """
 
 from typing import Dict, Type
 
+from ..._exports import lazy_exports
 from .base import MatchingCircuit, MatchResult, highest_set_bit, reference_search
 from .block_lookahead import BlockLookaheadMatcher
-from .netlist import Netlist, build_matcher_netlist, netlist_search
 from .lookahead import LookaheadMatcher
 from .ripple import RippleMatcher
 from .select_lookahead import SelectLookaheadMatcher, optimal_select_block
@@ -27,13 +29,15 @@ ALL_MATCHERS: Dict[str, Type[MatchingCircuit]] = {
 DEFAULT_MATCHER = SelectLookaheadMatcher
 """The topology used in the final architecture (fastest per ref. [13])."""
 
+_netlist_names, __getattr__, __dir__ = lazy_exports(__name__, {
+    "netlist": ("Netlist", "build_matcher_netlist", "netlist_search"),
+})
+
 __all__ = [
     "MatchingCircuit",
     "MatchResult",
     "reference_search",
-    "Netlist",
-    "build_matcher_netlist",
-    "netlist_search",
+    *_netlist_names,
     "highest_set_bit",
     "RippleMatcher",
     "LookaheadMatcher",

@@ -8,7 +8,7 @@ word arrays and executes the batched operations as whole-array ops:
   maintained eagerly (one masked OR / AND-NOT per batch, duplicates
   folded with ``np.bitwise_or.at``); the upper levels are rebuilt
   lazily from the leaf words — one reshape + pack per level — only
-  when a snapshot, invariant check, or section clear needs them.
+  when a snapshot or an invariant check needs them.
 * **Tag storage** — bucket FIFOs over the tag space: ``bucket_head`` /
   ``bucket_tail`` / ``bucket_count`` arrays indexed by tag value plus
   ``entry_next`` / ``entry_tag`` arrays indexed by storage address.
@@ -29,11 +29,6 @@ per-engine costs that stay within the invariant monitors'
 architectural budgets (insert ≤ 2R+2W storage, deferred dequeue
 exactly 1R+1W, batch spans within per-op budgets × count) rather than
 replicas of the gate-accurate traffic.
-
-:class:`VectorPlane` stacks the level arrays of many circuits (the
-fabric's shards) into one ``(shards, words)`` matrix per level, so one
-array op — the lazy upper-level rebuild — advances every shard at
-once.
 
 Everything above the operations — telemetry and its fault hooks,
 ``run_mixed``, ``describe`` and ``from_state`` — is inherited from
@@ -76,7 +71,7 @@ from .sort_retrieve import (
 _TUPLE_NEW = tuple.__new__
 from .words import PAPER_FORMAT, WordFormat, popcount_array, popcount_word
 
-__all__ = ["VectorSortRetrieveCircuit", "VectorPlane"]
+__all__ = ["VectorSortRetrieveCircuit"]
 
 
 def _node_dtype(np, branching_factor: int):
@@ -218,7 +213,6 @@ class VectorSortRetrieveCircuit(CircuitSurface):
         #: rebuilds lazily): bit s is set while section s may hold a
         #: leaf marker, so clearing a clean section costs no array op
         self._root_word = 0
-        self._plane: Optional["VectorPlane"] = None
 
         # -- translation table (includes stale entries, like gate) -------
         self._trans = np.full(self._tag_space, -1, dtype=np.int64)
@@ -445,15 +439,8 @@ class VectorSortRetrieveCircuit(CircuitSurface):
         return sum(1 << section for section in marked.tolist())
 
     def _rebuild_upper(self) -> None:
-        """Repack the upper tree levels from the leaf words.
-
-        Runs through the :class:`VectorPlane` when one is attached, so
-        every adopted shard's rebuild is a single stacked array op.
-        """
+        """Repack the upper tree levels from the leaf words."""
         if not self._upper_dirty:
-            return
-        if self._plane is not None:
-            self._plane.rebuild()
             return
         np = self._xp
         b = self._branching
@@ -1519,81 +1506,3 @@ class VectorSortRetrieveCircuit(CircuitSurface):
                     f"newest duplicate is at {address}"
                 )
 
-
-class VectorPlane:
-    """Stacks many vector circuits' tree levels into shared matrices.
-
-    The fabric adopts its shards' circuits into one plane; the lazy
-    upper-level rebuild then runs as **one** reshape-and-pack array op
-    per level across all shards (``(shards, words)`` matrices), so a
-    checkpoint or invariant sweep over N shards costs the same number
-    of array dispatches as one.
-    """
-
-    def __init__(self) -> None:
-        self._circuits: List[VectorSortRetrieveCircuit] = []
-        self._stacks: List[Any] = []
-
-    @property
-    def circuits(self) -> List[VectorSortRetrieveCircuit]:
-        return list(self._circuits)
-
-    def adopt(self, circuits: Sequence[VectorSortRetrieveCircuit]) -> None:
-        """Re-home the circuits' level arrays as rows of shared stacks."""
-        circuits = list(circuits)
-        if not circuits:
-            return
-        if self._circuits:
-            raise ConfigurationError("plane already adopted a shard set")
-        fmt = circuits[0].fmt
-        np = circuits[0]._xp
-        for circuit in circuits:
-            if not isinstance(circuit, VectorSortRetrieveCircuit):
-                raise ConfigurationError(
-                    "VectorPlane can only adopt vector-engine circuits"
-                )
-            if circuit.fmt != fmt:
-                raise ConfigurationError(
-                    "adopted circuits must share one word format"
-                )
-            if circuit._plane is not None:
-                raise ConfigurationError(
-                    "circuit already belongs to a plane"
-                )
-        rows = len(circuits)
-        for level in range(fmt.levels):
-            template = circuits[0]._levels_arr[level]
-            stack = np.zeros((rows, template.size), dtype=template.dtype)
-            for row, circuit in enumerate(circuits):
-                stack[row] = circuit._levels_arr[level]
-                circuit._levels_arr[level] = stack[row]
-            self._stacks.append(stack)
-        for circuit in circuits:
-            circuit._leaf = circuit._levels_arr[-1]
-            circuit._plane = self
-        self._circuits = circuits
-
-    def rebuild(self) -> None:
-        """One stacked array op per level advances every shard at once."""
-        if not self._circuits:
-            return
-        if not any(circuit._upper_dirty for circuit in self._circuits):
-            return
-        np = self._circuits[0]._xp
-        b = self._circuits[0]._branching
-        weights = (np.uint64(1) << np.arange(b, dtype=np.uint64))
-        rows = len(self._circuits)
-        for level in range(len(self._stacks) - 1, 0, -1):
-            child = self._stacks[level]
-            parent = self._stacks[level - 1]
-            present = (
-                child.reshape(rows, parent.shape[1], b) != 0
-            ).astype(np.uint64)
-            parent[:, :] = (present * weights).sum(axis=2).astype(
-                parent.dtype
-            )
-        for circuit in self._circuits:
-            circuit._upper_dirty = False
-
-    # The fabric calls this around its batch windows / checkpoints.
-    sync = rebuild

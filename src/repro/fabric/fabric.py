@@ -113,15 +113,6 @@ class ScheduleFabric:
             )
             for _ in range(shards)
         ]
-        #: shared array plane over the shard circuits (vector mode only):
-        #: lazy upper-tree rebuilds run as one stacked array op for all
-        #: shards instead of one dispatch per shard.
-        self.plane = None
-        if self.mode == "vector":
-            from ..core.vector import VectorPlane
-
-            self.plane = VectorPlane()
-            self.plane.adopt([store.circuit for store in self.stores])
         self.partitioner = FlowPartitioner(
             shards, policy=partition_policy, flow_space=flow_space
         )
@@ -302,7 +293,7 @@ class ScheduleFabric:
         candidates = []
         for _raw, address in source_store.circuit.storage.walk():
             finish_tag, (flow_id, _payload) = (
-                source_store.circuit.handle_payload(address)
+                source_store.handle_payload(address)
             )
             if flow_id in moved_flows:
                 candidates.append((address, finish_tag))
@@ -320,13 +311,13 @@ class ScheduleFabric:
             exact_tag, entry = source_store.remove(address)
             occupancy[plan.source] -= 1
             try:
-                new_local = target_store.push(exact_tag, entry)
+                new_local = target_store.push(exact_tag, entry[0], entry)
             except ProtocolError:
                 # The target refused after all (belt-and-braces: the
                 # accepts check should have caught it).  Re-push on the
                 # source — its slot is guaranteed free, though the new
                 # address may differ from the old one.
-                back_local = source_store.push(exact_tag, entry)
+                back_local = source_store.push(exact_tag, entry[0], entry)
                 occupancy[plan.source] += 1
                 if back_local != address:
                     relocations[base_source + address] = (
@@ -367,7 +358,9 @@ class ScheduleFabric:
         if payload is None:
             payload = flow_id
         shard, spilled = self.manager.route(flow_id, self._occupancy)
-        local = self.stores[shard].push(finish_tag, (flow_id, payload))
+        local = self.stores[shard].push(
+            finish_tag, flow_id, (flow_id, payload)
+        )
         self._occupancy[shard] += 1
         self._track_push(flow_id)
         self.pushes += 1
@@ -408,7 +401,7 @@ class ScheduleFabric:
         if not items:
             return
         occupancies = self.occupancies()
-        groups: List[List[Tuple[float, Tuple[int, object]]]] = [
+        groups: List[List[Tuple[float, int, Tuple[int, object]]]] = [
             [] for _ in range(self.shards)
         ]
         spilled_counts = [0] * self.shards
@@ -421,7 +414,7 @@ class ScheduleFabric:
                 payload = flow_id
             shard, spilled = self.manager.route(flow_id, occupancies)
             occupancies[shard] += 1
-            groups[shard].append((finish_tag, (flow_id, payload)))
+            groups[shard].append((finish_tag, flow_id, (flow_id, payload)))
             self._track_push(flow_id)
             if spilled:
                 spilled_counts[shard] += 1
@@ -645,6 +638,32 @@ class ScheduleFabric:
                 f"{self.shards}×{self.capacity_per_shard} handle space"
             )
         return divmod(handle, self.capacity_per_shard)
+
+    def handle_payload(self, handle: int) -> Tuple[float, object]:
+        """A live handle's exact ``(finish_tag, payload)`` (no access
+        accounting; a stale handle raises
+        :class:`~repro.hwsim.errors.ProtocolError`)."""
+        shard, local = self.handle_location(handle)
+        finish_tag, (_flow_id, payload) = self.stores[shard].handle_payload(
+            local
+        )
+        return finish_tag, payload
+
+    def owner_head(self, handle: int) -> Optional[Tuple[float, object]]:
+        """The exact ``(finish_tag, payload)`` at the head of the shard
+        holding ``handle`` — not the global head: a push is clamped to
+        its own shard's minimum."""
+        shard, _ = self.handle_location(handle)
+        head = self.stores[shard].peek_min_exact()
+        if head is None:
+            return None
+        finish_tag, (_flow_id, payload) = head
+        return finish_tag, payload
+
+    @property
+    def clamped_inserts(self) -> int:
+        """Pushes clamped to a shard minimum, over all shards."""
+        return sum(store.clamped_inserts for store in self.stores)
 
     def remove(self, handle: int) -> Tuple[float, object]:
         """Cancel a live entry by its :meth:`push` handle, in place.

@@ -5,45 +5,26 @@ delay/area model, and hardware counters.  Everything the circuit models in
 :mod:`repro.core` are built from lives here.
 """
 
-from .clock import Clock, ClockedComponent
-from .counters import SaturatingCounter, WrappingCounter
-from .errors import (
-    AddressError,
-    CapacityError,
-    ConfigurationError,
-    EmptyStructureError,
-    HardwareSimulationError,
-    PortConflictError,
-    ProtocolError,
-)
-from .gates import Cost, gates_to_luts
-from .memory import (
-    DualPortSRAM,
-    RegisterFile,
-    SinglePortSRAM,
-    make_tree_level_memory,
-)
-from .stats import AccessStats, OperationProbe, StatsRegistry
+from .._exports import lazy_exports
 
-__all__ = [
-    "Clock",
-    "ClockedComponent",
-    "SaturatingCounter",
-    "WrappingCounter",
-    "AddressError",
-    "CapacityError",
-    "ConfigurationError",
-    "EmptyStructureError",
-    "HardwareSimulationError",
-    "PortConflictError",
-    "ProtocolError",
-    "Cost",
-    "gates_to_luts",
-    "DualPortSRAM",
-    "RegisterFile",
-    "SinglePortSRAM",
-    "make_tree_level_memory",
-    "AccessStats",
-    "OperationProbe",
-    "StatsRegistry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "clock": ("Clock", "ClockedComponent"),
+    "counters": ("SaturatingCounter", "WrappingCounter"),
+    "errors": (
+        "AddressError",
+        "CapacityError",
+        "ConfigurationError",
+        "EmptyStructureError",
+        "HardwareSimulationError",
+        "PortConflictError",
+        "ProtocolError",
+    ),
+    "gates": ("Cost", "gates_to_luts"),
+    "memory": (
+        "DualPortSRAM",
+        "RegisterFile",
+        "SinglePortSRAM",
+        "make_tree_level_memory",
+    ),
+    "stats": ("AccessStats", "OperationProbe", "StatsRegistry"),
+})

@@ -10,7 +10,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "buffer": ("SharedPacketBuffer",),
     "dual_circuit": ("HardwareWF2QPlusSystem",),
-    "fabric_system": ("FabricSchedulerSystem",),
     "hardware_store": ("HardwareTagStore",),
     "metrics": (
         "DelayStats",

@@ -27,7 +27,7 @@ sorter is what the granularity benchmarks measure.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.engine import make_circuit, read_legacy_keys, resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
@@ -129,12 +129,16 @@ class HardwareTagStore:
     # ------------------------------------------------------------------
     # TagStore protocol
 
-    def push(self, finish_tag: float, flow_id: int) -> int:
+    def push(self, finish_tag: float, flow_id: int, payload=None) -> int:
         """Quantize and insert one tag; payload carries the exact tag.
 
-        Returns the circuit handle (storage address) of the inserted
-        entry, usable with :meth:`remove` / :meth:`retag` until the
-        entry is served.  Callers driving the plain
+        ``payload`` defaults to ``flow_id``; the circuit keeps
+        ``(finish_tag, payload)``.  One circuit routes nothing, so
+        ``flow_id`` is otherwise unused: this is the call a
+        :class:`~repro.fabric.fabric.ScheduleFabric` takes too.  Returns
+        the circuit handle (storage address) of the inserted entry,
+        usable with :meth:`remove` / :meth:`retag` until the entry is
+        served.  Callers driving the plain
         :class:`~repro.sched.wfq.TagStore` protocol may ignore it.
 
         The paper asserts that "the WFQ algorithm always produces tags
@@ -153,6 +157,8 @@ class HardwareTagStore:
         stale markers unreachable (they are all at or below the last
         served value).
         """
+        if payload is None:
+            payload = flow_id
         circuit = self.circuit
         storage = circuit.storage
         if storage._count == 0:  # len(self), minus two hops
@@ -203,20 +209,22 @@ class HardwareTagStore:
                 tracer.event(
                     "clamp", unwrapped=unwrapped, raw=minimum, quanta=quanta
                 )
-            return circuit.insert(minimum, payload=(finish_tag, flow_id))
+            return circuit.insert(minimum, payload=(finish_tag, payload))
         frontier = self._frontier
         if frontier is None or frontier < unwrapped // self._section_span:
             self._prepare_sections(unwrapped)
         min_inserted = self._min_inserted_unwrapped
         if min_inserted is None or unwrapped < min_inserted:
             self._min_inserted_unwrapped = unwrapped
-        return circuit.insert(raw, payload=(finish_tag, flow_id))
+        return circuit.insert(raw, payload=(finish_tag, payload))
 
-    def push_batch(self, items: List[Tuple[float, int]]) -> None:
-        """Quantize and insert a run of ``(finish_tag, payload)`` pairs.
+    def push_batch(self, items: Iterable[Sequence]) -> None:
+        """Quantize and insert a run of :meth:`push` argument tuples.
 
-        Service-order equivalent to calling :meth:`push` per item, with
-        the whole wrap discipline — span guard, clamping, frontier
+        Items are ``(finish_tag, flow_id)`` or ``(finish_tag, flow_id,
+        payload)``, as the fabric takes them: the payload is the last
+        element.  Service-order equivalent to calling :meth:`push` per
+        item, with the whole wrap discipline — span guard, clamping, frontier
         advance — evaluated in one scalar pass over the quantized tags
         before a single :meth:`TagSortRetrieveCircuit.insert_batch`
         call touches the circuit.  Validation therefore runs up front:
@@ -251,7 +259,8 @@ class HardwareTagStore:
         clamp_quanta = 0
         first_section: Optional[int] = None
         prepare_target: Optional[int] = None
-        for finish_tag, flow_id in items:
+        for item in items:
+            finish_tag = item[0]
             unwrapped = self.quantize(finish_tag)
             floor = last_served if last_served is not None else min_inserted
             if floor is not None and unwrapped - floor >= half:
@@ -287,7 +296,7 @@ class HardwareTagStore:
                 if min_live is None or unwrapped < min_live:
                     min_live = unwrapped
                 raws.append(raw)
-            payloads.append((finish_tag, flow_id))
+            payloads.append((finish_tag, item[-1]))
         if prepare_target is not None:
             if fresh_epoch:
                 # The circuit re-enters initialization mode, so per-op
@@ -333,10 +342,10 @@ class HardwareTagStore:
         # back a pair either way.
         return [tuple(entry.payload) for entry in served]
 
-    def pop_min(self) -> Tuple[float, int]:
+    def pop_min(self) -> Tuple[float, Any]:
         """Serve the smallest tag; returns the exact (float) tag."""
         served = self.circuit.dequeue_min()
-        finish_tag, flow_id = served.payload
+        finish_tag, payload = served.payload
         # Reconstruct the unwrapped value of the served raw tag: service
         # is monotone, so it is the smallest consistent value at or above
         # the previous floor.
@@ -349,13 +358,13 @@ class HardwareTagStore:
             or unwrapped > self._last_served_unwrapped
         ):
             self._last_served_unwrapped = unwrapped
-        return finish_tag, flow_id
+        return finish_tag, payload
 
     # ------------------------------------------------------------------
     # dynamic updates (timer cancel / deadline repin)
 
-    def remove(self, handle: int) -> Tuple[float, int]:
-        """Cancel the live entry at ``handle``; exact (tag, flow) back.
+    def remove(self, handle: int) -> Tuple[float, Any]:
+        """Cancel the live entry at ``handle``; exact (tag, payload) back.
 
         ``handle`` is the value :meth:`push` returned.  The entry is
         unlinked wherever it sits (no drain-and-refill) and its exact
@@ -374,8 +383,8 @@ class HardwareTagStore:
         A cancel plus a re-push under the full wrap discipline — span
         guard, behind-minimum clamping, frontier advance — so the moved
         entry lands exactly where a fresh :meth:`push` of
-        ``new_finish_tag`` for the same flow would.  Returns the entry's
-        new handle.
+        ``new_finish_tag`` with the same payload would.  Returns the
+        entry's new handle.
 
         The new tag comes from outside, so it must first lie in the live
         window: less than half the tag space ahead of *or behind* the
@@ -398,8 +407,22 @@ class HardwareTagStore:
                     f"{self._tag_space}-value tag space at granularity "
                     f"{self.granularity})"
                 )
-        _, flow_id = self.circuit.remove(handle).payload
-        return self.push(new_finish_tag, flow_id)
+        _, payload = self.circuit.remove(handle).payload
+        return self.push(new_finish_tag, payload)
+
+    def handle_payload(self, handle: int) -> Tuple[float, Any]:
+        """A live handle's exact ``(finish_tag, payload)`` (no access
+        accounting; a stale handle raises ProtocolError)."""
+        finish_tag, payload = self.circuit.handle_payload(handle)
+        return finish_tag, payload
+
+    def owner_head(self, handle: int) -> Optional[Tuple[float, Any]]:
+        """The head of the circuit holding ``handle`` — the one circuit
+        — where a push below it is clamped to."""
+        return self.peek_min_exact()
+
+    def add_relocation_listener(self, listener) -> None:
+        """Never called: one circuit never moves a live entry."""
 
     def accepts_without_clamp(self, finish_tag: float) -> bool:
         """Whether a push of ``finish_tag`` lands at its own quantum.

@@ -11,7 +11,10 @@ Three blocks in one data flow:
 3. **tag sort/retrieve circuit** — the
    :class:`~repro.net.hardware_store.HardwareTagStore` keeps (tag,
    pointer) pairs sorted so egress always pops the smallest tag's pointer
-   in fixed time.
+   in fixed time.  With ``shards=N`` a
+   :class:`~repro.fabric.fabric.ScheduleFabric` of N such circuits takes
+   its place; the two take the same calls, so every path below is
+   written once.
 
 The class implements :class:`~repro.sched.base.PacketScheduler`, so the
 same :func:`~repro.sched.base.simulate` loop that drives the software
@@ -23,7 +26,7 @@ packets-per-second and line-rate figures.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
 from ..hwsim.errors import ConfigurationError, ProtocolError
 from ..sched.base import PacketScheduler
@@ -34,12 +37,30 @@ from .hardware_store import HardwareTagStore
 from ..core.engine import resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..fabric.fabric import ScheduleFabric
+
 #: Post-layout clock target: 35.8 Mpps at 4 cycles/operation (Section IV).
 DEFAULT_CLOCK_HZ = 143.2e6
 
+#: Smallest per-shard circuit: keeps tiny buffer/shard ratios workable.
+MIN_SHARD_CAPACITY = 64
+
 
 class HardwareWFQSystem(PacketScheduler):
-    """WFQ tag computation + packet buffer + sort/retrieve circuit."""
+    """WFQ tag computation + packet buffer + sort/retrieve block.
+
+    ``shards`` picks the sort/retrieve block: ``None`` is one
+    :class:`~repro.net.hardware_store.HardwareTagStore` (paper Fig. 1),
+    ``N`` an N-shard :class:`~repro.fabric.fabric.ScheduleFabric`, which
+    routes on the flow id and carries the buffer pointer as payload.  A
+    one-shard fabric serves what the single circuit serves.
+
+    Timing model: :attr:`circuit_busy_seconds` is ``store.cycles /
+    clock_hz``, and a fabric reports *makespan* cycles (its shards are
+    parallel hardware), so an N-way balanced fabric shows ~N× the
+    sustained enqueue throughput of one circuit.
+    """
 
     name = "hw_wfq"
 
@@ -47,6 +68,7 @@ class HardwareWFQSystem(PacketScheduler):
         self,
         rate_bps: float,
         *,
+        shards: Optional[int] = None,
         fmt: WordFormat = PAPER_FORMAT,
         granularity: Optional[float] = None,
         buffer_capacity: int = 8192,
@@ -57,6 +79,9 @@ class HardwareWFQSystem(PacketScheduler):
         super().__init__(rate_bps)
         if clock_hz <= 0:
             raise ConfigurationError("clock frequency must be positive")
+        if shards is not None and shards < 1:
+            raise ConfigurationError("a fabric needs at least one shard")
+        self.shards = shards
         self.clock_hz = clock_hz
         self.clock = VirtualClock(rate_bps)
         self.buffer = SharedPacketBuffer(buffer_capacity)
@@ -65,7 +90,7 @@ class HardwareWFQSystem(PacketScheduler):
         self._explicit_granularity = granularity
         self._mode = resolve_mode(mode)
         self._tracer = tracer
-        self._store: Optional[HardwareTagStore] = None
+        self._store: Optional[Union[HardwareTagStore, ScheduleFabric]] = None
         self.dropped = 0
 
     #: packets of worst-case tag increment half the tag space must cover
@@ -74,24 +99,41 @@ class HardwareWFQSystem(PacketScheduler):
     AUTO_GRANULARITY_MAX_BYTES = 1500
 
     @property
-    def store(self) -> HardwareTagStore:
-        """The sort/retrieve circuit adapter (created on first use).
+    def store(self) -> Union[HardwareTagStore, "ScheduleFabric"]:
+        """The sort/retrieve block (created on first use).
 
         When no explicit ``granularity`` was given, the quantum is sized
         from the registered weights so that
         :data:`AUTO_GRANULARITY_HEADROOM` worst-case per-packet tag
         increments (a maximum-size packet on the lightest flow) fit in
         half the tag space — the sequence-number window the wrap logic
-        needs.
+        needs.  A fabric's shards each quantize against the same flow
+        table, and together cover the packet buffer: each holds the
+        buffer's share per shard (at least :data:`MIN_SHARD_CAPACITY`),
+        and skew beyond a share is the spill mechanism's job.
         """
         if self._store is None:
-            self._store = HardwareTagStore(
+            common = dict(
                 fmt=self._fmt,
                 granularity=self._resolve_granularity(),
-                capacity=self._buffer_capacity,
                 mode=self._mode,
                 tracer=self._tracer,
             )
+            if self.shards is None:
+                self._store = HardwareTagStore(
+                    capacity=self._buffer_capacity, **common
+                )
+            else:
+                # Imported here: repro.fabric itself imports this
+                # package (its shards are HardwareTagStores).
+                from ..fabric.fabric import ScheduleFabric
+
+                capacity = self._buffer_capacity // self.shards
+                self._store = ScheduleFabric(
+                    shards=self.shards,
+                    capacity_per_shard=max(MIN_SHARD_CAPACITY, capacity),
+                    **common,
+                )
         return self._store
 
     def _resolve_granularity(self) -> float:
@@ -174,18 +216,22 @@ class HardwareWFQSystem(PacketScheduler):
     def enqueue(self, packet: Packet, now: float) -> Optional[int]:
         """Admit one arrival; returns its cancel handle (None if dropped).
 
-        The handle is the sort/retrieve circuit's storage address and
-        stays valid until the packet is served, cancelled, or repinned.
+        The handle is the store's: a circuit storage address, or a
+        fabric handle naming the routed shard and its address.  It stays
+        valid until the packet is served, cancelled, or repinned.
         """
-        tags = self.clock.on_arrival(packet.flow_id, packet.size_bits, now)
-        packet.start_tag = tags.start_tag
-        packet.finish_tag = tags.finish_tag
+        flow_id = packet.flow_id
+        start_tag, finish_tag = self.clock.on_arrival(
+            flow_id, packet.size_bytes * 8, now
+        )
+        packet.start_tag = start_tag
+        packet.finish_tag = finish_tag
         pointer = self.buffer.try_store(packet)
         if pointer is None:
             self.dropped += 1
             return None
         try:
-            return self.store.push(tags.finish_tag, pointer)
+            return self.store.push(finish_tag, flow_id, pointer)
         except ProtocolError:
             # The circuit refused the tag (span guard): release the
             # buffer slot so a rejected admission cannot leak storage,
@@ -221,12 +267,13 @@ class HardwareWFQSystem(PacketScheduler):
         """Move a queued packet to a new finishing tag (repin).
 
         The packet stays parked in the buffer; only its (tag, pointer)
-        pair moves inside the circuit, under the same quantization and
-        wrap discipline as a fresh enqueue.  Returns the new handle.
+        pair moves inside the circuit (on a fabric, inside its shard),
+        under the same quantization and wrap discipline as a fresh
+        enqueue.  Returns the new handle.
         """
-        new_handle = self.store.retag(handle, new_finish_tag)
-        pointer = self.store.circuit.handle_payload(new_handle)[1]
-        packet = self.buffer.peek(pointer)
+        store = self.store
+        new_handle = store.retag(handle, new_finish_tag)
+        packet = self.buffer.peek(store.handle_payload(new_handle)[1])
         if packet is not None:
             packet.finish_tag = new_finish_tag
         return new_handle
@@ -245,16 +292,17 @@ class HardwareWFQSystem(PacketScheduler):
         """
         pushes = []
         for packet in packets:
-            tags = self.clock.on_arrival(
-                packet.flow_id, packet.size_bits, packet.arrival_time
+            flow_id = packet.flow_id
+            start_tag, finish_tag = self.clock.on_arrival(
+                flow_id, packet.size_bytes * 8, packet.arrival_time
             )
-            packet.start_tag = tags.start_tag
-            packet.finish_tag = tags.finish_tag
+            packet.start_tag = start_tag
+            packet.finish_tag = finish_tag
             pointer = self.buffer.try_store(packet)
             if pointer is None:
                 self.dropped += 1
                 continue
-            pushes.append((tags.finish_tag, pointer))
+            pushes.append((finish_tag, flow_id, pointer))
         self.store.push_batch(pushes)
         return len(pushes)
 
@@ -276,8 +324,12 @@ class HardwareWFQSystem(PacketScheduler):
         return self.store.cycles / self.clock_hz
 
     def sustained_packets_per_second(self) -> float:
-        """One operation per four cycles: the paper's 35.8 Mpps figure."""
-        return self.clock_hz / 4.0
+        """One operation per four cycles: the paper's 35.8 Mpps figure.
+
+        A fabric's N circuits each retire one, so its peak is N times
+        that, reached only while the partition keeps every shard busy.
+        """
+        return (self.shards or 1) * self.clock_hz / 4.0
 
     def sustained_line_rate_bps(self, mean_packet_bytes: float) -> float:
         """Line speed supported at a given mean packet size (40 Gb/s at

@@ -11,12 +11,13 @@ patterns over the sort/retrieve circuit's dynamic-update primitives
 :meth:`~repro.net.hardware_store.HardwareTagStore.retag`), as the
 ``python -m repro timer`` workload and the bench ``timer_churn`` phase.
 
-:class:`TimerWheel` adapts a tag store (or a
-:class:`~repro.fabric.fabric.ScheduleFabric` — same contract) into a
-timer facade: ``arm`` returns a stable token, ``cancel`` and ``reset``
-spend it, ``expire_until`` fires due timers in deadline order.  Tokens
-survive ``reset`` (the underlying circuit handle changes; the token
-mapping absorbs it), which is what a real timer API needs.
+:class:`TimerWheel` adapts a tag store or a
+:class:`~repro.fabric.fabric.ScheduleFabric` (the two take the same
+calls) into a timer facade: ``arm`` returns a stable token, ``cancel``
+and ``reset`` spend it, ``expire_until`` fires due timers in deadline
+order.  Tokens survive ``reset`` (the underlying circuit handle
+changes; the token mapping absorbs it), which is what a real timer API
+needs.
 
 Three scenario families, deterministic per seed:
 
@@ -55,21 +56,21 @@ class TimerWheel:
     :class:`~repro.net.hardware_store.HardwareTagStore` or a
     :class:`~repro.fabric.fabric.ScheduleFabric` — anything with the
     store contract (``push``/``remove``/``retag``/``peek_min_exact``/
-    ``pop_min``/``__len__``).  The wheel stores its own *token* as the
-    backend payload, so a fired entry maps straight back to the timer
-    it belonged to; the token is what survives a :meth:`reset` (the
-    underlying circuit handle changes, the token mapping absorbs it).
+    ``pop_min``/``owner_head``/``clamped_inserts``/
+    ``add_relocation_listener``/``__len__``).  The wheel pushes the
+    timer id as the routing key (a fabric keeps one connection's or
+    flow's timers on one shard, as the scheduler pins flows; it needs an
+    int) and its own *token* as the payload, so a fired entry maps
+    straight back to the timer it belonged to; the token is what
+    survives a :meth:`reset` (the underlying circuit handle changes, the
+    token mapping absorbs it).
     """
 
     def __init__(self, backend) -> None:
         self.backend = backend
-        #: fabric backends route on an int flow key and carry the token
-        #: as opaque payload; plain stores take the token directly
-        self._fabric = hasattr(backend, "handle_location")
-        if self._fabric and hasattr(backend, "add_relocation_listener"):
-            # Rebalancing may migrate live entries between shards; the
-            # wheel's token ledger must follow the moved handles.
-            backend.add_relocation_listener(self._apply_relocations)
+        # Rebalancing may migrate live entries between shards; the
+        # wheel's token ledger must follow the moved handles.
+        backend.add_relocation_listener(self._apply_relocations)
         #: stable token -> current circuit handle (resets re-map it)
         self._handles: Dict[int, int] = {}
         #: token -> timer id, for cancel/fire reporting
@@ -96,11 +97,6 @@ class TimerWheel:
             if moved is not None:
                 self._handles[token] = moved
 
-    def _clamp_count(self) -> int:
-        if self._fabric:
-            return sum(s.clamped_inserts for s in self.backend.stores)
-        return self.backend.clamped_inserts
-
     def _effective_deadline(
         self, requested: float, before: int, handle: int
     ) -> float:
@@ -112,16 +108,10 @@ class TimerWheel:
         ledger, not its exact tag: a head that was itself clamped sits
         above its requested deadline, and the lift must chain.
         """
-        if self._clamp_count() > before:
-            if self._fabric:
-                shard, _ = self.backend.handle_location(handle)
-                head = self.backend.stores[shard].peek_min_exact()
-                head_token = head[1][1] if head is not None else None
-            else:
-                head = self.backend.peek_min_exact()
-                head_token = head[1] if head is not None else None
+        if self.backend.clamped_inserts > before:
+            head = self.backend.owner_head(handle)
             if head is not None:
-                head_deadline = self._effective.get(head_token, head[0])
+                head_deadline = self._effective.get(head[1], head[0])
                 return max(requested, head_deadline)
         return requested
 
@@ -133,14 +123,8 @@ class TimerWheel:
     def arm(self, deadline: float, timer_id) -> int:
         """Arm a timer; returns a token valid until cancel/fire."""
         token = self._next_token
-        before = self._clamp_count()
-        if self._fabric:
-            # Route on the timer id (keeps one connection/flow's timers
-            # shard-local, like the scheduler pins flows), carry the
-            # token as payload.
-            handle = self.backend.push(deadline, int(timer_id), token)
-        else:
-            handle = self.backend.push(deadline, token)
+        before = self.backend.clamped_inserts
+        handle = self.backend.push(deadline, timer_id, token)
         self._next_token += 1
         self._handles[token] = handle
         self._ids[token] = timer_id
@@ -168,7 +152,7 @@ class TimerWheel:
         handle = self._handles.get(token)
         if handle is None:
             raise ProtocolError(f"timer token {token} is not armed")
-        before = self._clamp_count()
+        before = self.backend.clamped_inserts
         new_handle = self.backend.retag(handle, new_deadline)
         self._handles[token] = new_handle
         self._effective[token] = self._effective_deadline(

@@ -100,9 +100,6 @@ def restore_state(engine, state: Dict[str, Any]) -> None:
     engine.token_handles = {
         int(token): int(handle) for token, handle in tokens["handles"]
     }
-    engine.handle_tokens = {
-        handle: token for token, handle in engine.token_handles.items()
-    }
     engine.packet_tokens = {
         int(packet_id): int(token)
         for packet_id, token in tokens["packets"]

@@ -36,7 +36,7 @@ from ..core.engine import read_legacy_keys, resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
 from ..hwsim.errors import ConfigurationError, ProtocolError
 from ..net.admission import AdmissionController
-from ..net.fabric_system import FabricSchedulerSystem
+from ..net.scheduler_system import HardwareWFQSystem
 from ..net.session_table import SessionStateTable
 from ..obs.harness import RunHarness, add_flags
 from ..sched.packet import Packet
@@ -177,7 +177,7 @@ class ServeEngine:
         self.granularity = derive_granularity(
             config.link_rate_bps, config.min_rate_bps
         )
-        self.system = FabricSchedulerSystem(
+        self.system = HardwareWFQSystem(
             config.link_rate_bps,
             shards=config.shards,
             granularity=self.granularity,
@@ -220,9 +220,8 @@ class ServeEngine:
         # The relocation-aware handle ledger (see module docstring).
         self.next_token = 0
         self.token_handles: Dict[int, int] = {}
-        self.handle_tokens: Dict[int, int] = {}
         self.packet_tokens: Dict[int, int] = {}
-        self.system.add_relocation_listener(self._apply_relocations)
+        self.system.store.add_relocation_listener(self._apply_relocations)
         self.shutdown_requested = False
         self._serve_log = None
         self._dispatch = {
@@ -264,18 +263,18 @@ class ServeEngine:
     def _apply_relocations(self, relocations: Dict[int, int]) -> None:
         """Follow migrated fabric handles; tokens stay stable.
 
-        Two-phase (pop everything, then reinsert): a migration's
-        put-back path can reuse a just-freed address, so an in-place
-        walk could overwrite a mapping before it was read.
+        ``relocations`` is the migration's complete ``{old: new}`` map,
+        and each token's handle is looked up in it once, by its old
+        value: a put-back may reuse an address another moved entry just
+        freed, so a handle must never be looked up again after it moved.
+        A rebalance runs at most once per cooldown window, so the walk
+        over every live token is rare.
         """
-        moved = []
-        for old, new in relocations.items():
-            token = self.handle_tokens.pop(old, None)
-            if token is not None:
-                moved.append((new, token))
-        for new, token in moved:
-            self.handle_tokens[new] = token
-            self.token_handles[token] = new
+        token_handles = self.token_handles
+        for token, handle in token_handles.items():
+            moved = relocations.get(handle)
+            if moved is not None:
+                token_handles[token] = moved
 
     # ------------------------------------------------------------------
     # the drain path (shared by the verb and the paced loop)
@@ -290,16 +289,13 @@ class ServeEngine:
         # fabric handle the token maps to.
         packet_tokens = self.packet_tokens
         token_handles = self.token_handles
-        handle_tokens = self.handle_tokens
         session_of = self.sessions.session
         seq = self.served_seq
         records = []
         for packet in packets:
             token = packet_tokens.pop(packet.packet_id, None)
             if token is not None:
-                handle = token_handles.pop(token, None)
-                if handle is not None:
-                    handle_tokens.pop(handle, None)
+                token_handles.pop(token, None)
             flow_id = packet.flow_id
             session = session_of(flow_id)
             if session is not None:
@@ -412,7 +408,6 @@ class ServeEngine:
         token = self.next_token
         self.next_token = token + 1
         self.token_handles[token] = handle
-        self.handle_tokens[handle] = token
         self.packet_tokens[packet.packet_id] = token
         session.enqueued += 1
         self.counters["enqueued"] += 1
@@ -435,11 +430,10 @@ class ServeEngine:
                 f"handle {token} names no queued packet (already served, "
                 "cancelled, or never issued)",
             )
-        # Drop the ledger entries *before* touching the fabric: the
+        # The token left the ledger *before* the fabric is touched: the
         # cancel can trigger a rebalance whose put-back path reuses the
         # freed address, and the relocation callback must not find the
         # dead mapping.
-        self.handle_tokens.pop(handle, None)
         try:
             packet = self.system.cancel(handle)
         except ProtocolError as exc:  # pragma: no cover - ledger is sound
@@ -462,7 +456,6 @@ class ServeEngine:
                 request, f"handle {token} names no queued packet"
             )
         self.token_handles.pop(token)
-        self.handle_tokens.pop(handle, None)
         try:
             new_handle = self.system.reschedule(handle, new_tag)
         except ProtocolError as exc:
@@ -470,10 +463,8 @@ class ServeEngine:
             # anything moved; the entry is still live under its old
             # handle.
             self.token_handles[token] = handle
-            self.handle_tokens[handle] = token
             return error_response(request, f"reschedule rejected: {exc}")
         self.token_handles[token] = new_handle
-        self.handle_tokens[new_handle] = token
         self.counters["rescheduled"] += 1
         return ok_response(request, handle=token, tag=new_tag)
 

@@ -17,7 +17,6 @@ import pytest
 from repro.core.words import WordFormat
 from repro.fabric.fabric import ScheduleFabric
 from repro.hwsim.errors import ProtocolError
-from repro.net.fabric_system import FabricSchedulerSystem
 from repro.net.hardware_store import HardwareTagStore
 from repro.net.scheduler_system import HardwareWFQSystem
 from repro.sched.packet import Packet
@@ -242,7 +241,7 @@ class TestFabricDynamicUpdates:
 
 class TestFabricSystemDynamicUpdates:
     def make_system(self, **kwargs):
-        system = FabricSchedulerSystem(1e9, shards=4, **kwargs)
+        system = HardwareWFQSystem(1e9, shards=4, **kwargs)
         for flow in range(8):
             system.add_flow(flow, weight=1.0 + flow * 0.25)
         return system

@@ -1,11 +1,11 @@
-"""FabricSchedulerSystem: the sharded fabric behind the Fig. 1 facade."""
+"""HardwareWFQSystem(shards=N): the sharded fabric behind the Fig. 1 facade."""
 
 import random
 
 import pytest
 
 from repro.hwsim.errors import ConfigurationError
-from repro.net import FabricSchedulerSystem, HardwareWFQSystem
+from repro.net import HardwareWFQSystem
 from repro.sched.base import simulate
 from repro.sched.packet import Packet
 
@@ -42,7 +42,7 @@ def record(result):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_one_shard_system_matches_single_circuit_system(seed):
     arrivals = make_arrivals(1_000, seed)
-    fabric_system = register_flows(FabricSchedulerSystem(1e9, shards=1))
+    fabric_system = register_flows(HardwareWFQSystem(1e9, shards=1))
     plain_system = register_flows(HardwareWFQSystem(1e9))
     fabric_result = simulate(fabric_system, arrivals)
     plain_result = simulate(plain_system, make_arrivals(1_000, seed))
@@ -52,7 +52,7 @@ def test_one_shard_system_matches_single_circuit_system(seed):
 
 def test_four_shard_system_serves_every_packet():
     arrivals = make_arrivals(2_000, 7)
-    system = register_flows(FabricSchedulerSystem(1e9, shards=4))
+    system = register_flows(HardwareWFQSystem(1e9, shards=4))
     result = simulate(system, arrivals)
     assert len(result.packets) == 2_000
     assert system.dropped == 0
@@ -62,20 +62,20 @@ def test_four_shard_system_serves_every_packet():
 
 
 def test_sustained_throughput_scales_with_shards():
-    one = FabricSchedulerSystem(1e9, shards=1)
-    four = FabricSchedulerSystem(1e9, shards=4)
+    one = HardwareWFQSystem(1e9, shards=1)
+    four = HardwareWFQSystem(1e9, shards=4)
     assert four.sustained_packets_per_second() == pytest.approx(
         4 * one.sustained_packets_per_second()
     )
 
 
 def test_shard_capacity_covers_buffer_share():
-    system = FabricSchedulerSystem(1e9, shards=4, buffer_capacity=8192)
+    system = HardwareWFQSystem(1e9, shards=4, buffer_capacity=8192)
     system.add_flow(1)
     assert system.store.capacity_per_shard == 2048
 
 
 def test_rejects_zero_shards():
     with pytest.raises(ConfigurationError):
-        FabricSchedulerSystem(1e9, shards=0)
+        HardwareWFQSystem(1e9, shards=0)
 

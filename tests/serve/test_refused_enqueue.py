@@ -11,7 +11,6 @@ import pytest
 
 from repro.hwsim.errors import ProtocolError
 from repro.net import HardwareWFQSystem
-from repro.net.fabric_system import FabricSchedulerSystem
 from repro.sched import Packet
 from repro.serve.server import ServeConfig, ServeEngine
 
@@ -68,12 +67,10 @@ def test_retried_refusals_cost_the_flow_nothing():
     )
 
 
-@pytest.mark.parametrize(
-    "system_cls", [HardwareWFQSystem, FabricSchedulerSystem]
-)
-def test_system_refusal_takes_the_arrival_back(system_cls):
-    """Both systems' enqueue: slot released, clock restored, error raised."""
-    system = system_cls(1e9, granularity=100.0)
+@pytest.mark.parametrize("shards", [None, 4], ids=["store", "fabric"])
+def test_system_refusal_takes_the_arrival_back(shards):
+    """Store or fabric below: slot released, clock restored, error raised."""
+    system = HardwareWFQSystem(1e9, shards=shards, granularity=100.0)
     system.add_flow(1, 1.0)
     system.add_flow(2, 3.0)
     now = 0.0

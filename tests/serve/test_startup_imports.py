@@ -50,6 +50,8 @@ NEVER_LOADED = (
     "repro.net.multihop",
     "repro.net.dual_circuit",
     "repro.core.pipeline",
+    "repro.core.matching.netlist",
+    "repro.hwsim.clock",
 )
 
 

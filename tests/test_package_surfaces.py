@@ -1,8 +1,9 @@
 """The lazy package surfaces (:mod:`repro._exports`).
 
-``repro``, ``repro.core``, ``repro.net``, ``repro.sched`` and
-``repro.obs`` export their public names through a PEP 562
-``__getattr__`` built from one table each.  A typo in a table would
+``repro``, ``repro.core``, ``repro.net``, ``repro.sched``,
+``repro.obs`` and ``repro.hwsim`` export their public names through a
+PEP 562 ``__getattr__`` built from one table each, and
+``repro.core.matching`` its netlist names.  A typo in a table would
 otherwise show only when someone first used that name.
 """
 
@@ -12,7 +13,10 @@ import types
 
 import pytest
 
-PACKAGES = ("repro", "repro.core", "repro.net", "repro.sched", "repro.obs")
+PACKAGES = (
+    "repro", "repro.core", "repro.net", "repro.sched", "repro.obs",
+    "repro.hwsim",
+)
 
 
 def _bound_by_a_submodule(package: str, name: str, value) -> bool:
@@ -71,3 +75,22 @@ def test_submodule_import_still_returns_the_submodule():
     from repro.obs import tracer
 
     assert tracer is sys.modules["repro.obs.tracer"]
+
+
+def test_matching_loads_netlist_names_on_first_use():
+    from repro.core import matching
+
+    # The matcher registry stays eager: a circuit build reads it.
+    assert "ALL_MATCHERS" in vars(matching)
+    assert "DEFAULT_MATCHER" in vars(matching)
+    netlist = importlib.import_module("repro.core.matching.netlist")
+    namespace = {}
+    exec("from repro.core.matching import *", namespace)
+    for name in ("Netlist", "build_matcher_netlist", "netlist_search"):
+        assert name in matching.__all__ and name in dir(matching), name
+        value = getattr(matching, name)
+        assert value is getattr(netlist, name)
+        assert vars(matching)[name] is value
+        assert namespace[name] is value
+    with pytest.raises(AttributeError, match="has no attribute"):
+        matching.NoSuchMatcher
